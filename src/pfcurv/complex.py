@@ -9,6 +9,7 @@ the vertex at that position.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -50,7 +51,9 @@ class SimplicialComplex:
     """Pure combinatorics of a simplicial complex of dimension ``d``.
 
     Instances are built with :func:`build_complex` and are immutable in
-    practice: all derived tables are computed once during construction.
+    practice: incidence tables are computed during construction, and the
+    face index tables (:meth:`edge_ids`, :attr:`top_hinges`) once, on
+    first use.
     """
 
     def __init__(self, dim: int, skeletons: list[list[tuple[int, ...]]]):
@@ -66,6 +69,7 @@ class SimplicialComplex:
         self._build_incidence()
         self._find_boundary()
         self._hinges: list[Hinge] | None = None
+        self._edge_ids: dict[int, np.ndarray] = {}
         self.orientable, self.orientation = self._orient()
 
     # -- construction helpers -------------------------------------------
@@ -196,6 +200,60 @@ class SimplicialComplex:
             shape=(self.n_simplices(k - 1), n),
         )
 
+    # -- face index tables -----------------------------------------------
+
+    def _face_index(self, k: int, keep: tuple[int, ...]) -> np.ndarray:
+        """Index of the face of every k-simplex spanned by its vertices at
+        the sorted positions ``keep``.
+
+        Deleting positions from the highest down leaves the lower ones in
+        place, so each deletion is one gather through a facet table.
+        """
+        idx = np.arange(self.n_simplices(k))
+        for r in range(k, -1, -1):
+            if r not in keep:
+                idx = self.facets[k][idx, r]
+                k -= 1
+        return idx
+
+    def edge_ids(self, k: int) -> np.ndarray:
+        """Edge index of every vertex-position pair of every k-simplex.
+
+        Shape (n_k, C(k+1, 2)); column order is
+        ``itertools.combinations(range(k + 1), 2)``.
+        """
+        if not 1 <= k <= self.dim:
+            raise ValueError(f"no edges on a {k}-simplex in dim {self.dim}")
+        tab = self._edge_ids.get(k)
+        if tab is None:
+            pairs = itertools.combinations(range(k + 1), 2)
+            tab = np.stack([self._face_index(k, p) for p in pairs], axis=1)
+            tab.flags.writeable = False
+            self._edge_ids[k] = tab
+        return tab
+
+    @functools.cached_property
+    def top_hinges(self) -> np.ndarray:
+        """Hinge index opposite every vertex-position pair (i, j), i < j, of
+        every top cell.
+
+        Shape (n_top, C(d+1, 2)); column order is
+        ``itertools.combinations(range(d + 1), 2)``.  Entry (t, (i, j)) is
+        ``facets[d-1][facets[d][t, j], i]``.
+        """
+        d = self.dim
+        if d < 2:
+            raise ValueError("hinges need dimension >= 2")
+        tab = np.stack(
+            [
+                self._face_index(d, tuple(r for r in range(d + 1) if r not in p))
+                for p in itertools.combinations(range(d + 1), 2)
+            ],
+            axis=1,
+        )
+        tab.flags.writeable = False
+        return tab
+
     # -- hinges ----------------------------------------------------------
 
     def hinges(self) -> list[Hinge]:
@@ -265,7 +323,6 @@ def build_complex(
     cells: Sequence[Sequence[int]],
     *,
     require_orientation: bool = False,
-    check_links: bool = False,
 ) -> SimplicialComplex:
     """Build a simplicial complex from its top-dimensional cells.
 
@@ -278,10 +335,6 @@ def build_complex(
     require_orientation : bool
         Raise :class:`InconsistentOrientation` when no globally consistent
         orientation of the top cells exists.
-    check_links : bool
-        Additionally require the top star of every simplex to be connected
-        through shared codimension-1 faces (beyond the hinge-cycle test
-        that always runs).
 
     Manifoldness is validated eagerly: any codimension-1 simplex with more
     than two top cofaces raises :class:`NonManifold`, and a hinge whose
@@ -314,41 +367,5 @@ def build_complex(
         c.hinges()
     if require_orientation and not c.orientable:
         raise InconsistentOrientation("complex is not orientable")
-    if check_links:
-        _check_star_connectivity(c)
     return c
 
-
-def _check_star_connectivity(c: SimplicialComplex) -> None:
-    # Top star of every simplex must be connected through codim-1 faces
-    # that contain the simplex (a cheap portion of the full link condition).
-    d = c.dim
-    for k in range(d - 1):
-        for i in range(c.n_simplices(k)):
-            sv = set(c.simplex_tuples[k][i])
-            tops = [t.index for t in c.cofaces(SimplexId(k, i), d)]
-            if len(tops) <= 1:
-                continue
-            adj: dict[int, set[int]] = {t: set() for t in tops}
-            face_map: dict[int, list[int]] = {}
-            for t in tops:
-                for j in range(d + 1):
-                    fv = c.simplex_tuples[d - 1][c.facets[d][t, j]]
-                    if sv.issubset(fv):
-                        face_map.setdefault(c.facets[d][t, j], []).append(t)
-            for ts in face_map.values():
-                for a in ts:
-                    for b in ts:
-                        if a != b:
-                            adj[a].add(b)
-            seen = {tops[0]}
-            stack = [tops[0]]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != len(tops):
-                raise NonManifold(
-                    f"star of {c.simplex_tuples[k][i]} is disconnected"
-                )

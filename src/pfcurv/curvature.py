@@ -41,6 +41,12 @@ def _hinge(m: MetricComplex, h) -> Hinge:
     return m.complex.hinges()[h.index]
 
 
+def _deficits(m: MetricComplex) -> np.ndarray:
+    """Deficit of every hinge, boundary hinges against pi."""
+    bnd = m.complex.is_boundary[m.dim - 2]
+    return np.where(bnd, math.pi, TWO_PI) - m.hinge_angle_sums
+
+
 def deficit(m: MetricComplex, h, *, allow_boundary: bool = False) -> float:
     """Deficit angle 2*pi - sum of dihedral angles around a hinge.
 
@@ -49,14 +55,14 @@ def deficit(m: MetricComplex, h, *, allow_boundary: bool = False) -> float:
     pi - sum of angles, otherwise they raise :class:`BoundaryHinge`.
     """
     hg = _hinge(m, h)
-    total = sum(m.dihedral_angle(hg.simplex, t) for t in hg.star)
+    total = m.hinge_angle_sums[hg.simplex.index]
     if hg.is_boundary:
         if not allow_boundary:
             raise BoundaryHinge(
                 f"hinge {m.complex.simplex(hg.simplex)} lies on the boundary"
             )
-        return math.pi - total
-    return TWO_PI - total
+        return float(math.pi - total)
+    return float(TWO_PI - total)
 
 
 def sectional(m: MetricComplex, h) -> float:
@@ -205,9 +211,14 @@ def scalar_vertex(m: MetricComplex, v, *, lattice: str = "simplicial") -> float:
         tid = v if isinstance(v, SimplexId) else SimplexId(d, v)
         if tid.dim != d:
             raise ValueError("dual vertices are top cells")
+        hinges = _interior_hinges_within(m, tid)
+        if not hinges:
+            raise BoundaryElement(
+                f"top cell {c.simplex(tid)} has no interior hinge"
+            )
         num = 0.0
         den = 0.0
-        for hg in _interior_hinges_within(m, tid):
+        for hg in hinges:
             w = m.shared_hybrid_volume(hg.simplex, tid)
             astar = m.dual_volume(hg.simplex)
             if astar == 0:
@@ -217,7 +228,9 @@ def scalar_vertex(m: MetricComplex, v, *, lattice: str = "simplicial") -> float:
             num += d * (d - 1) * (deficit(m, hg) / astar) * w
             den += w
         if den == 0:
-            return 0.0  # no interior hinge reaches this cell
+            raise ZeroMeasureElement(
+                f"top cell {c.simplex(tid)} sees zero hinge weight"
+            )
         return num / den
     raise ValueError(f"unknown lattice {lattice!r}")
 
@@ -232,12 +245,10 @@ def regge_action(
     optional prefactor multiplies the sum (default 1); deficits are scale
     invariant, so S scales like length**(d-2).
     """
-    total = 0.0
-    for hg in m.complex.hinges():
-        if hg.is_boundary and not include_boundary:
-            continue
-        total += deficit(m, hg, allow_boundary=True) * m.simplex_volume(hg.simplex)
-    return prefactor * total
+    dfc = _deficits(m)
+    if not include_boundary:
+        dfc = np.where(m.complex.is_boundary[m.dim - 2], 0.0, dfc)
+    return prefactor * float(dfc @ m.volumes[m.dim - 2])
 
 
 @dataclass(frozen=True)
@@ -313,21 +324,13 @@ def curvature_report(m: MetricComplex) -> CurvatureReport:
     """Evaluate every curvature quantity on its natural support."""
     d = m.dim
     c = m.complex
-    hs = c.hinges()
-    nh = len(hs)
-    dfc = np.empty(nh)
-    sec = np.full(nh, np.nan)
-    bar = np.full(nh, np.nan)
-    nrm = np.full(nh, np.nan)
-    hb = np.array([h.is_boundary for h in hs])
-    for i, hg in enumerate(hs):
-        dfc[i] = deficit(m, hg, allow_boundary=True)
-        if not hg.is_boundary:
-            astar = m.dual_volume(hg.simplex)
-            if astar != 0:
-                sec[i] = dfc[i] / astar
-                bar[i] = math.comb(d, 2) * sec[i]
-                nrm[i] = sec[i]
+    hb = c.is_boundary[d - 2].copy()
+    dfc = _deficits(m)
+    astar = m.dual_volumes[d - 2]
+    ok = ~hb & (astar != 0)
+    sec = np.full(hb.shape, np.nan)
+    sec[ok] = dfc[ok] / astar[ok]
+    bar = math.comb(d, 2) * sec
     if d >= 3:
         nf = c.n_simplices(d - 1)
         fb = m.complex.is_boundary[d - 1].copy()
@@ -366,14 +369,14 @@ def curvature_report(m: MetricComplex) -> CurvatureReport:
     for t in range(c.n_simplices(d)):
         try:
             dvs[t] = scalar_vertex(m, t, lattice="dual")
-        except ZeroMeasureElement:
-            pass
+        except (ZeroMeasureElement, BoundaryElement):
+            pass  # no interior hinge, or zero weight; stays nan
     return CurvatureReport(
         dim=d,
         hinge_deficit=dfc,
         hinge_sectional=sec,
         hinge_riemann=bar,
-        hinge_riemann_normalized=nrm,
+        hinge_riemann_normalized=sec.copy(),
         hinge_area=m.volumes[d - 2].copy(),
         hinge_dual_area=m.dual_volumes[d - 2].copy(),
         hinge_is_boundary=hb,

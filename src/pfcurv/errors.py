@@ -14,8 +14,7 @@ class DuplicateCell(PfcurvError):
 
 
 class NonManifold(PfcurvError):
-    """A codimension-1 simplex has more than two top cofaces, or a star
-    fails a requested link check."""
+    """A codimension-1 simplex has more than two top cofaces."""
 
 
 class BrokenCycle(NonManifold):

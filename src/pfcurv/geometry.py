@@ -20,6 +20,7 @@ simply do not exist, which clips dual cells at the boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -68,7 +69,9 @@ class MetricComplex:
         Squared length per edge, indexed like the 1-skeleton.
 
     All per-simplex caches (volumes, circumcenters, elevations, dual
-    volumes) are computed once at construction and are immutable.
+    volumes) are computed once at construction and are immutable.  The
+    dihedral angles and their per-hinge sums are computed on first use
+    and cached; new lengths need a new instance.
     Construction raises :class:`DegenerateSimplex` if any simplex of any
     dimension fails to have positive volume, and emits
     :class:`NonWellCenteredWarning` when some net dual volume is zero or
@@ -103,14 +106,13 @@ class MetricComplex:
         self._coords: list[np.ndarray] = [np.zeros((n0, 1, 0))]
         self._elev: list[np.ndarray | None] = [None]
 
-        edge_index = c.index[1]
         for k in range(1, d + 1):
             verts = c.simplices[k]
             n = verts.shape[0]
             D2 = np.zeros((n, k + 1, k + 1))
-            for p, q in itertools.combinations(range(k + 1), 2):
-                ids = [edge_index[(int(a), int(b))] for a, b in zip(verts[:, p], verts[:, q])]
-                D2[:, p, q] = D2[:, q, p] = self.edge_lengths_sq[ids]
+            pair_l2 = self.edge_lengths_sq[c.edge_ids(k)]
+            for col, (p, q) in enumerate(itertools.combinations(range(k + 1), 2)):
+                D2[:, p, q] = D2[:, q, p] = pair_l2[:, col]
             self._dist2[k] = D2
 
             # bordered Cayley-Menger matrix: determinant gives the volume,
@@ -210,9 +212,6 @@ class MetricComplex:
     @property
     def dim(self) -> int:
         return self.complex.dim
-
-    def edge_length_sq(self, u: int, v: int) -> float:
-        return float(self.edge_lengths_sq[self.complex.id_of((u, v)).index])
 
     def embed_simplex(self, s: SimplexId) -> np.ndarray:
         """Coordinates of the vertices of ``s`` in R^k, vertex 0 at the
@@ -384,30 +383,57 @@ class MetricComplex:
 
     # -- angles ----------------------------------------------------------
 
+    @functools.cached_property
+    def dihedral_angles(self) -> np.ndarray:
+        """Interior dihedral angle of every top cell at each of its hinges.
+
+        Shape (n_top, C(d+1, 2)), laid out like ``complex.top_hinges``:
+        column (i, j) is the angle at the hinge opposite vertices i and j.
+        With the Gram matrix G of the cell and P = [-1^T; I], the matrix
+        M = P G^-1 P^T holds the inner products of the barycentric
+        gradients, which are inward facet normals, so
+
+            cos theta_ij = -M_ij / (sqrt(M_ii) sqrt(M_jj)).
+
+        The square roots are taken separately so that the product of two
+        small diagonal entries cannot underflow.
+        """
+        d = self.dim
+        if d < 2:
+            raise ValueError("dihedral angles need dimension >= 2")
+        D2 = self._dist2[d]
+        G = (D2[:, :1, 1:] + D2[:, 1:, :1] - D2[:, 1:, 1:]) / 2.0
+        P = np.vstack([-np.ones((1, d)), np.eye(d)])
+        M = P @ np.linalg.inv(G) @ P.T
+        i, j = np.array(list(itertools.combinations(range(d + 1), 2))).T
+        root = np.sqrt(np.diagonal(M, axis1=1, axis2=2))
+        cos = -M[:, i, j] / (root[:, i] * root[:, j])
+        angles = np.arccos(np.clip(cos, -1.0, 1.0))
+        angles.flags.writeable = False
+        return angles
+
+    @functools.cached_property
+    def hinge_angle_sums(self) -> np.ndarray:
+        """Sum of the dihedral angles of the top cells around each hinge."""
+        c = self.complex
+        sums = np.bincount(
+            c.top_hinges.ravel(),
+            weights=self.dihedral_angles.ravel(),
+            minlength=c.n_simplices(self.dim - 2),
+        )
+        sums.flags.writeable = False
+        return sums
+
     def dihedral_angle(self, h: SimplexId, top: SimplexId) -> float:
         """Interior dihedral angle of a top cell at one of its hinges,
         measured in the plane orthogonal to the hinge; in (0, pi)."""
-        c = self.complex
         d = self.dim
         if h.dim != d - 2 or top.dim != d:
             raise ValueError("expected a hinge and a top cell")
-        tv = c.simplex(top)
-        hv = set(c.simplex(h))
-        if not hv <= set(tv):
+        pos = np.nonzero(self.complex.top_hinges[top.index] == h.index)[0]
+        if pos.size == 0:
             raise NotIncident(f"{h} is not a face of {top}")
-        X = self._coords[d][top.index]
-        hpos = [i for i, v in enumerate(tv) if v in hv]
-        a, b = (i for i, v in enumerate(tv) if v not in hv)
-        base = X[hpos[0]]
-        u = X[a] - base
-        v = X[b] - base
-        if len(hpos) > 1:
-            E = (X[hpos[1:]] - base).T
-            Q, _ = np.linalg.qr(E)
-            u = u - Q @ (Q.T @ u)
-            v = v - Q @ (Q.T @ v)
-        cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        return float(self.dihedral_angles[top.index, pos[0]])
 
     def well_centered_fraction(self) -> float:
         """Fraction of simplexes of dimension >= 2 that contain their own

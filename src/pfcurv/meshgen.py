@@ -159,16 +159,12 @@ def _degenerate_edges(m: MetricComplex, l2: np.ndarray) -> np.ndarray:
     bad = np.zeros(l2.shape[0], dtype=bool)
     if (l2 <= 0).any():
         bad |= l2 <= 0
-    edge_index = c.index[1]
     for k in range(2, c.dim + 1):
-        verts = c.simplices[k]
-        nk = verts.shape[0]
+        eids = c.edge_ids(k)
+        nk = eids.shape[0]
         D2 = np.zeros((nk, k + 1, k + 1))
-        eids = np.empty((nk, (k + 1) * k // 2), dtype=np.int64)
         for col, (p, q) in enumerate(itertools.combinations(range(k + 1), 2)):
-            ids = [edge_index[(int(a), int(b))] for a, b in zip(verts[:, p], verts[:, q])]
-            eids[:, col] = ids
-            D2[:, p, q] = D2[:, q, p] = l2[ids]
+            D2[:, p, q] = D2[:, q, p] = l2[eids[:, col]]
         B = np.zeros((nk, k + 2, k + 2))
         B[:, 0, 1:] = 1.0
         B[:, 1:, 0] = 1.0

@@ -1,11 +1,12 @@
-"""Coordinate-space reference computations.
+"""Reference computations.
 
-Everything here works on an explicit vertex embedding and never touches
-the length-only pipeline: volumes come from Gram determinants of edge
-vectors, circumcenters from the normal equations in the affine hull, and
-dual volumes from signed distances between global circumcenters.
-Agreement with the package is therefore a genuine cross-check, not a
-tautology.
+Apart from :func:`dihedral_qr`, the per-pair length-only angle kept as
+the reference for the batched dihedral table, everything here works on
+an explicit vertex embedding and never touches the length-only
+pipeline: volumes come from Gram determinants of edge vectors,
+circumcenters from the normal equations in the affine hull, and dual
+volumes from signed distances between global circumcenters.  Agreement
+with the package is therefore a genuine cross-check, not a tautology.
 """
 
 import math
@@ -100,6 +101,32 @@ def dihedral_from_normals(pts: np.ndarray, hinge: tuple, top: tuple) -> float:
         normals.append(-n / np.linalg.norm(n))
     cosang = float(np.clip(np.dot(normals[0], normals[1]), -1.0, 1.0))
     return math.pi - math.acos(cosang)
+
+
+def dihedral_qr(m, h, top) -> float:
+    """Dihedral angle of ``top`` at hinge ``h``, one pair at a time.
+
+    The length-only reference for the batched table: the cell is placed
+    by its Gram Cholesky embedding, the two edges leaving the hinge are
+    projected off the hinge's span by QR, and the angle is the one
+    between the projections.
+    """
+    c = m.complex
+    tv = c.simplex(top)
+    hv = set(c.simplex(h))
+    X = m.embed_simplex(top)
+    hpos = [i for i, v in enumerate(tv) if v in hv]
+    a, b = (i for i, v in enumerate(tv) if v not in hv)
+    base = X[hpos[0]]
+    u = X[a] - base
+    v = X[b] - base
+    if len(hpos) > 1:
+        E = (X[hpos[1:]] - base).T
+        Q, _ = np.linalg.qr(E)
+        u = u - Q @ (Q.T @ u)
+        v = v - Q @ (Q.T @ v)
+    cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
 def shoelace(poly: np.ndarray) -> float:

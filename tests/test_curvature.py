@@ -291,6 +291,23 @@ def test_curvature_report_flat_grid(grid3):
     assert rep.action == pytest.approx(0.0, abs=1e-9)
 
 
+def test_dual_scalar_without_interior_hinge(grid2):
+    # two corner triangles have only boundary vertices, so no hinge
+    # curvature reaches their dual vertex: an error, and nan in reports
+    c = grid2.complex
+    lonely = [
+        t for t in range(c.n_simplices(2))
+        if c.is_boundary[0][c.simplices[2][t]].all()
+    ]
+    assert len(lonely) == 2
+    for t in lonely:
+        with pytest.raises(BoundaryElement):
+            scalar_vertex(grid2, t, lattice="dual")
+    rep = curvature_report(grid2)
+    assert np.isnan(rep.dual_vertex_scalar[lonely]).all()
+    assert np.isfinite(np.delete(rep.dual_vertex_scalar, lonely)).all()
+
+
 def test_curvature_report_dimension_two_targets(ico):
     rep = curvature_report(ico)
     assert rep.dual_edge_ricci is None and rep.edge_ricci is None

@@ -1,0 +1,118 @@
+"""The batched dihedral-angle table: every entry against the per-pair QR
+oracle, the Schläfli identity, and invariance under length scaling."""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+import oracles
+from pfcurv import (
+    MetricComplex,
+    NonWellCenteredWarning,
+    SimplexId,
+    build_complex,
+    deficit,
+    gen_boundary_of_simplex,
+    gen_flat_grid,
+    gen_icosphere,
+    perturb_lengths,
+)
+
+
+def _grid4():
+    # Freudenthal triangulation of [0, 2]^4, 384 pentatopes with boundary
+    pts = np.array(list(itertools.product(range(3), repeat=4)))
+    vid = {tuple(p): i for i, p in enumerate(pts)}
+    cells = []
+    for corner in itertools.product(range(2), repeat=4):
+        for perm in itertools.permutations(range(4)):
+            walk = [np.array(corner)]
+            for ax in perm:
+                step = walk[-1].copy()
+                step[ax] += 1
+                walk.append(step)
+            cells.append([vid[tuple(p)] for p in walk])
+    c = build_complex(4, cells)
+    e = c.simplices[1]
+    return MetricComplex(c, ((pts[e[:, 0]] - pts[e[:, 1]]) ** 2).sum(axis=1))
+
+
+MESHES = {
+    "5-cell": lambda: gen_boundary_of_simplex(4),
+    "5-simplex boundary": lambda: gen_boundary_of_simplex(5),
+    "perturbed grid3": lambda: perturb_lengths(gen_flat_grid(3, 3), 0.05, seed=0),
+    "perturbed icosphere": lambda: perturb_lengths(gen_icosphere(2), 0.05, seed=1),
+    "delaunay 3d": lambda: oracles.random_delaunay(3, 24, 1),
+    "perturbed grid4": lambda: perturb_lengths(_grid4(), 0.05, seed=2),
+}
+
+
+@pytest.fixture(scope="module", params=list(MESHES))
+def mesh(request):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        return MESHES[request.param]()
+
+
+def _deficits(m):
+    return np.array(
+        [deficit(m, h, allow_boundary=True) for h in m.complex.hinges()]
+    )
+
+
+def test_every_angle_matches_qr_oracle(mesh):
+    c = mesh.complex
+    d = c.dim
+    pairs = list(itertools.combinations(range(d + 1), 2))
+    worst = 0.0
+    for t in range(c.n_simplices(d)):
+        tv = c.simplices[d][t]
+        for col, (i, j) in enumerate(pairs):
+            h = SimplexId(d - 2, int(c.top_hinges[t, col]))
+            assert set(c.simplex(h)) == set(tv) - {tv[i], tv[j]}
+            got = mesh.dihedral_angle(h, SimplexId(d, t))
+            assert got == mesh.dihedral_angles[t, col]
+            worst = max(worst, abs(got - oracles.dihedral_qr(mesh, h, SimplexId(d, t))))
+    assert worst <= 1e-13
+
+
+def test_angle_sums_follow_hinge_stars(mesh):
+    for hg in mesh.complex.hinges():
+        total = sum(mesh.dihedral_angle(hg.simplex, t) for t in hg.star)
+        assert mesh.hinge_angle_sums[hg.simplex.index] == pytest.approx(
+            total, abs=1e-13
+        )
+
+
+def test_schlaefli_identity(mesh):
+    # sum_h |h| d(eps_h) = 0 to first order; it holds cell by cell, so
+    # boundary hinges take part with their exterior-angle deficits
+    rng = np.random.default_rng(7)
+    l2 = mesh.edge_lengths_sq
+    step = 1e-6 * l2 * rng.uniform(-1.0, 1.0, size=l2.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        up = MetricComplex(mesh.complex, l2 + step)
+        down = MetricComplex(mesh.complex, l2 - step)
+    d_eps = (_deficits(up) - _deficits(down)) / 2.0
+    area = mesh.volumes[mesh.dim - 2]
+    assert abs(area @ d_eps) <= 1e-6 * (area @ np.abs(d_eps))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_deficits_scale_invariant(perturbed_grid, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        scaled = MetricComplex(perturbed_grid.complex, scale * perturbed_grid.edge_lengths_sq)
+    assert np.abs(_deficits(scaled) - _deficits(perturbed_grid)).max() <= 1e-12
+
+
+def test_angle_tables_are_read_only(cell5):
+    with pytest.raises(ValueError):
+        cell5.dihedral_angles[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        cell5.hinge_angle_sums[0] = 0.0
+    with pytest.raises(ValueError):
+        cell5.complex.top_hinges[0, 0] = 0
