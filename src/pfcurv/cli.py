@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = q.add_subparsers(dest="generator", required=True, parser_class=_Parser)
 
     g = gsub.add_parser("flat-grid")
-    g.add_argument("--dim", type=int, choices=[2, 3], default=2)
+    g.add_argument("--dim", type=int, choices=[2, 3, 4], default=2)
     g.add_argument("--n", type=int, default=3)
     g.add_argument("-o", "--output", default=None)
     g.set_defaults(func=cmd_gen)

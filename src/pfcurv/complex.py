@@ -52,8 +52,8 @@ class SimplicialComplex:
 
     Instances are built with :func:`build_complex` and are immutable in
     practice: incidence tables are computed during construction, and the
-    face index tables (:meth:`edge_ids`, :attr:`top_hinges`) once, on
-    first use.
+    face index tables (:meth:`edge_ids`, :attr:`top_hinges`) and the
+    boundary matrices once, on first use.
     """
 
     def __init__(self, dim: int, skeletons: list[list[tuple[int, ...]]]):
@@ -70,6 +70,7 @@ class SimplicialComplex:
         self._find_boundary()
         self._hinges: list[Hinge] | None = None
         self._edge_ids: dict[int, np.ndarray] = {}
+        self._boundary: dict[int, sparse.csr_array] = {}
         self.orientable, self.orientation = self._orient()
 
     # -- construction helpers -------------------------------------------
@@ -186,19 +187,22 @@ class SimplicialComplex:
         """Signed incidence of k-simplexes onto their (k-1)-faces.
 
         Entry [f, s] is (-1)**j when f is the face of s opposite its j-th
-        vertex.  Matrices compose to zero over the integers.
+        vertex.  Matrices compose to zero over the integers.  Each is
+        built once, on first use, and its entries are read-only.
         """
         if not 1 <= k <= self.dim:
             raise ValueError(f"no boundary matrix for k={k}")
-        tab = self.facets[k]
-        n = tab.shape[0]
-        cols = np.repeat(np.arange(n), k + 1)
-        rows = tab.ravel()
-        vals = np.tile([(-1) ** j for j in range(k + 1)], n)
-        return sparse.csr_array(
-            (np.array(vals, dtype=np.int64), (rows, cols)),
-            shape=(self.n_simplices(k - 1), n),
-        )
+        B = self._boundary.get(k)
+        if B is None:
+            n = self.n_simplices(k)
+            signs = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), n)
+            B = sparse.csr_array(
+                (signs, (self.facets[k].ravel(), np.repeat(np.arange(n), k + 1))),
+                shape=(self.n_simplices(k - 1), n),
+            )
+            B.data.flags.writeable = False
+            self._boundary[k] = B
+        return B
 
     # -- face index tables -----------------------------------------------
 

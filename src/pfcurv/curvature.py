@@ -92,14 +92,80 @@ def riemann_hinge(
     return k
 
 
-def _interior_hinges_within(m: MetricComplex, sp: SimplexId) -> list[Hinge]:
-    c = m.complex
-    hs = c.hinges()
-    return [
-        hs[x.index]
-        for x in c.faces(sp, m.dim - 2)
-        if not hs[x.index].is_boundary
-    ]
+def _convention(value: float, d: int, normalized: bool, both_orientations: bool) -> float:
+    if both_orientations:
+        value *= 2.0
+    return value / d if normalized else value
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray, factor: float) -> np.ndarray:
+    out = np.full(den.shape, np.nan)
+    out[ok] = factor * num[ok] / den[ok]
+    return out
+
+
+def _sectionals(m: MetricComplex) -> np.ndarray:
+    """Sectional curvature of every hinge; nan on boundary hinges and on
+    zero dual areas."""
+    astar = m.dual_volumes[m.dim - 2]
+    ok = ~m.complex.is_boundary[m.dim - 2] & (astar != 0)
+    return _ratio(_deficits(m), astar, ok, 1.0)
+
+
+def _hybrid_average(m: MetricComplex, kp: int, hinges_of: np.ndarray, factor: float) -> np.ndarray:
+    """factor times the average of interior hinge sectional curvatures
+    over each kp-simplex, weighted by shared hybrid volumes V_{h, s}.
+
+    ``hinges_of`` lists the hinges of every kp-simplex.  A simplex is nan
+    when it is on the boundary, when its weights sum to zero, or when one
+    of its interior hinges has zero dual area; that last test reads the
+    incidence table, because a zero elevation drops a hinge from the
+    operator's stored entries.
+    """
+    d = m.dim
+    interior = ~m.complex.is_boundary[d - 2]
+    V = m.shared_hybrid_volumes(d - 2, kp).T
+    sec = _sectionals(m)
+    num = V @ np.where(np.isnan(sec), 0.0, sec)
+    den = V @ interior.astype(np.float64)
+    bad = (interior & (m.dual_volumes[d - 2] == 0))[hinges_of].any(axis=1)
+    return _ratio(num, den, ~m.complex.is_boundary[kp] & ~bad & (den != 0), factor)
+
+
+def _restricted_average(m: MetricComplex, p: int, factor: float) -> np.ndarray:
+    """factor times the ratio of the restricted-measure averages of
+    deficit and dual area over the hinges containing each interior
+    p-simplex; nan on the boundary and where the dual areas average to
+    zero."""
+    A = m.restricted_measures(p, m.dim - 2)
+    den = A @ m.dual_volumes[m.dim - 2]
+    return _ratio(A @ _deficits(m), den, ~m.complex.is_boundary[p] & (den != 0), factor)
+
+
+# Per-element columns, each computed on first use and cached on the
+# MetricComplex; the per-element functions below index into them.
+_COLUMNS = {
+    "dual_edge_ricci": lambda m: _hybrid_average(
+        m, m.dim - 1, m.complex.facets[m.dim - 1], math.comb(m.dim, 2)
+    ),
+    "edge_ricci": lambda m: _restricted_average(m, 1, math.comb(m.dim, 2)),
+    "vertex_scalar": lambda m: _restricted_average(m, 0, m.dim * (m.dim - 1)),
+    "dual_vertex_scalar": lambda m: _hybrid_average(
+        m, m.dim, m.complex.top_hinges, m.dim * (m.dim - 1)
+    ),
+}
+
+
+def _column(m: MetricComplex, name: str) -> np.ndarray:
+    return m.cached(name, _COLUMNS[name])
+
+
+def _entry(m: MetricComplex, name: str, i: int, why: str) -> float:
+    """One element of a column; nan raises :class:`ZeroMeasureElement`."""
+    value = _column(m, name)[i]
+    if np.isnan(value):
+        raise ZeroMeasureElement(why)
+    return float(value)
 
 
 def ricci_dual_edge(
@@ -123,18 +189,12 @@ def ricci_dual_edge(
             f"face {m.complex.simplex(f)} lies on the boundary; its dual "
             "edge is clipped"
         )
-    num = 0.0
-    den = 0.0
-    for hg in _interior_hinges_within(m, f):
-        w = m.shared_hybrid_volume(hg.simplex, f)
-        num += sectional(m, hg) * w
-        den += w
-    if den == 0:
-        raise ZeroMeasureElement(f"face {m.complex.simplex(f)} has zero weight")
-    value = math.comb(d, 2) * num / den
-    if both_orientations:
-        value *= 2.0
-    return value / d if normalized else value
+    value = _entry(
+        m, "dual_edge_ricci", f.index,
+        f"face {m.complex.simplex(f)} has zero weight or an interior hinge "
+        "with zero dual area",
+    )
+    return _convention(value, d, normalized, both_orientations)
 
 
 def ricci_simplicial_edge(
@@ -159,24 +219,11 @@ def ricci_simplicial_edge(
         raise BoundaryElement(
             f"edge {m.complex.simplex(ell)} lies on the boundary"
         )
-    hs = m.complex.hinges()
-    num = 0.0
-    den = 0.0
-    wsum = 0.0
-    for x in m.complex.cofaces(ell, d - 2):
-        hg = hs[x.index]
-        w = m.restricted_hinge_area(hg.simplex, ell)
-        num += deficit(m, hg) * w
-        den += m.dual_volume(hg.simplex) * w
-        wsum += w
-    if den == 0:
-        raise ZeroMeasureElement(
-            f"edge {m.complex.simplex(ell)} sees zero average dual area"
-        )
-    value = math.comb(d, 2) * num / den
-    if both_orientations:
-        value *= 2.0
-    return value / d if normalized else value
+    value = _entry(
+        m, "edge_ricci", ell.index,
+        f"edge {m.complex.simplex(ell)} sees zero average dual area",
+    )
+    return _convention(value, d, normalized, both_orientations)
 
 
 def scalar_vertex(m: MetricComplex, v, *, lattice: str = "simplicial") -> float:
@@ -194,44 +241,23 @@ def scalar_vertex(m: MetricComplex, v, *, lattice: str = "simplicial") -> float:
         vid = v if isinstance(v, SimplexId) else SimplexId(0, v)
         if c.is_boundary[0][vid.index]:
             raise BoundaryElement(f"vertex {c.simplex(vid)} lies on the boundary")
-        hs = c.hinges()
-        num = 0.0
-        den = 0.0
-        for x in c.cofaces(vid, d - 2):
-            hg = hs[x.index]
-            w = m.restricted_measure(hg.simplex, vid)
-            num += deficit(m, hg) * w
-            den += m.dual_volume(hg.simplex) * w
-        if den == 0:
-            raise ZeroMeasureElement(
-                f"vertex {c.simplex(vid)} sees zero average dual area"
-            )
-        return d * (d - 1) * num / den
+        return _entry(
+            m, "vertex_scalar", vid.index,
+            f"vertex {c.simplex(vid)} sees zero average dual area",
+        )
     if lattice == "dual":
         tid = v if isinstance(v, SimplexId) else SimplexId(d, v)
         if tid.dim != d:
             raise ValueError("dual vertices are top cells")
-        hinges = _interior_hinges_within(m, tid)
-        if not hinges:
+        if c.is_boundary[d - 2][c.top_hinges[tid.index]].all():
             raise BoundaryElement(
                 f"top cell {c.simplex(tid)} has no interior hinge"
             )
-        num = 0.0
-        den = 0.0
-        for hg in hinges:
-            w = m.shared_hybrid_volume(hg.simplex, tid)
-            astar = m.dual_volume(hg.simplex)
-            if astar == 0:
-                raise ZeroMeasureElement(
-                    f"hinge {c.simplex(hg.simplex)} has zero dual area"
-                )
-            num += d * (d - 1) * (deficit(m, hg) / astar) * w
-            den += w
-        if den == 0:
-            raise ZeroMeasureElement(
-                f"top cell {c.simplex(tid)} sees zero hinge weight"
-            )
-        return num / den
+        return _entry(
+            m, "dual_vertex_scalar", tid.index,
+            f"top cell {c.simplex(tid)} sees zero hinge weight or an "
+            "interior hinge with zero dual area",
+        )
     raise ValueError(f"unknown lattice {lattice!r}")
 
 
@@ -324,71 +350,31 @@ def curvature_report(m: MetricComplex) -> CurvatureReport:
     """Evaluate every curvature quantity on its natural support."""
     d = m.dim
     c = m.complex
-    hb = c.is_boundary[d - 2].copy()
-    dfc = _deficits(m)
-    astar = m.dual_volumes[d - 2]
-    ok = ~hb & (astar != 0)
-    sec = np.full(hb.shape, np.nan)
-    sec[ok] = dfc[ok] / astar[ok]
-    bar = math.comb(d, 2) * sec
+    sec = _sectionals(m)
     if d >= 3:
-        nf = c.n_simplices(d - 1)
-        fb = m.complex.is_boundary[d - 1].copy()
-        dric = np.full(nf, np.nan)
-        dricn = np.full(nf, np.nan)
-        for i in range(nf):
-            if not fb[i]:
-                try:
-                    dric[i] = ricci_dual_edge(m, i)
-                    dricn[i] = ricci_dual_edge(m, i, normalized=True)
-                except ZeroMeasureElement:
-                    pass  # indeterminate on zero dual measures; stays nan
-        ne = c.n_simplices(1)
-        eb = m.complex.is_boundary[1].copy()
-        eric = np.full(ne, np.nan)
-        ericn = np.full(ne, np.nan)
-        for i in range(ne):
-            if not eb[i]:
-                try:
-                    eric[i] = ricci_simplicial_edge(m, i)
-                    ericn[i] = ricci_simplicial_edge(m, i, normalized=True)
-                except ZeroMeasureElement:
-                    pass
+        dric, eric = _column(m, "dual_edge_ricci"), _column(m, "edge_ricci")
+        dricn, ericn = dric / d, eric / d
+        fb, eb = c.is_boundary[d - 1].copy(), c.is_boundary[1].copy()
     else:
         dric = dricn = fb = eric = ericn = eb = None
-    nv = c.n_simplices(0)
-    vb = m.complex.is_boundary[0].copy()
-    vs = np.full(nv, np.nan)
-    for i in range(nv):
-        if not vb[i]:
-            try:
-                vs[i] = scalar_vertex(m, i)
-            except ZeroMeasureElement:
-                pass
-    dvs = np.full(c.n_simplices(d), np.nan)
-    for t in range(c.n_simplices(d)):
-        try:
-            dvs[t] = scalar_vertex(m, t, lattice="dual")
-        except (ZeroMeasureElement, BoundaryElement):
-            pass  # no interior hinge, or zero weight; stays nan
     return CurvatureReport(
         dim=d,
-        hinge_deficit=dfc,
+        hinge_deficit=_deficits(m),
         hinge_sectional=sec,
-        hinge_riemann=bar,
+        hinge_riemann=math.comb(d, 2) * sec,
         hinge_riemann_normalized=sec.copy(),
         hinge_area=m.volumes[d - 2].copy(),
         hinge_dual_area=m.dual_volumes[d - 2].copy(),
-        hinge_is_boundary=hb,
+        hinge_is_boundary=c.is_boundary[d - 2].copy(),
         dual_edge_ricci=dric,
         dual_edge_ricci_normalized=dricn,
         face_is_boundary=fb,
         edge_ricci=eric,
         edge_ricci_normalized=ericn,
         edge_is_boundary=eb,
-        vertex_scalar=vs,
-        vertex_is_boundary=vb,
-        dual_vertex_scalar=dvs,
+        vertex_scalar=_column(m, "vertex_scalar"),
+        vertex_is_boundary=c.is_boundary[0].copy(),
+        dual_vertex_scalar=_column(m, "dual_vertex_scalar"),
         action=regge_action(m),
         metadata={
             "orientation_factor": 2.0,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex import SimplexId
 from .errors import UnsupportedPair, ZeroMeasureElement
 from .geometry import MetricComplex
 
@@ -215,31 +214,18 @@ def transfer_density(w: Cochain, target_lattice: str, target_degree: int = 1) ->
             f"transfer from ({w.lattice}, {w.degree}) to "
             f"({target_lattice}, {target_degree}) is not supported"
         )
-    c = m.complex
     dens_in = w.densities()
+    V = m.shared_hybrid_volumes(1, d - 1)
     if target_lattice == SIMPLICIAL:
         # dual edges (faces of dim d-1) onto simplicial edges
-        n = c.n_simplices(1)
-        out = np.zeros(n)
-        for i in range(n):
-            ell = SimplexId(1, i)
-            V_l = m.hybrid_volume(ell)
-            if V_l == 0:
-                raise ZeroMeasureElement(f"edge {i} has zero hybrid volume")
-            acc = 0.0
-            for f in c.cofaces(ell, d - 1):
-                acc += dens_in[f.index] * m.shared_hybrid_volume(ell, f)
-            out[i] = acc / V_l * m.volumes[1][i]
-        return Cochain(m, SIMPLICIAL, 1, out)
-    n = c.n_simplices(d - 1)
-    out = np.zeros(n)
-    for i in range(n):
-        f = SimplexId(d - 1, i)
-        V_f = m.hybrid_volume(f)
-        if V_f == 0:
-            raise ZeroMeasureElement(f"face {i} has zero hybrid volume")
-        acc = 0.0
-        for ell in c.faces(f, 1):
-            acc += dens_in[ell.index] * m.shared_hybrid_volume(ell, f)
-        out[i] = acc / V_f * m.dual_volumes[d - 1][i]
-    return Cochain(m, DUAL, 1, out)
+        V_out = m.volumes[1] * m.dual_volumes[1] / d
+        acc = V @ dens_in
+        meas, what = m.volumes[1], "edge"
+    else:
+        V_out = m.volumes[d - 1] * m.dual_volumes[d - 1] / d
+        acc = V.T @ dens_in
+        meas, what = m.dual_volumes[d - 1], "face"
+    zero = np.nonzero(V_out == 0)[0]
+    if zero.size:
+        raise ZeroMeasureElement(f"{what} {zero[0]} has zero hybrid volume")
+    return Cochain(m, target_lattice, 1, acc / V_out * meas)

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .complex import SimplexId, SimplicialComplex
 from .errors import (
@@ -70,8 +71,9 @@ class MetricComplex:
 
     All per-simplex caches (volumes, circumcenters, elevations, dual
     volumes) are computed once at construction and are immutable.  The
-    dihedral angles and their per-hinge sums are computed on first use
-    and cached; new lengths need a new instance.
+    dihedral angles and their per-hinge sums, the elevation and chain
+    operators and the arrays kept with :meth:`cached` are computed on
+    first use and cached; new lengths need a new instance.
     Construction raises :class:`DegenerateSimplex` if any simplex of any
     dimension fails to have positive volume, and emits
     :class:`NonWellCenteredWarning` when some net dual volume is zero or
@@ -90,7 +92,7 @@ class MetricComplex:
             raise ValueError("squared edge lengths must be positive")
         self.edge_lengths_sq = l2
         self.coordinates: np.ndarray | None = None  # oracle/serialization aid
-        self._chain_cache: dict[tuple[int, int, int, int], float] = {}
+        self._cache: dict = {}
         self._build_caches()
 
     # -- cache construction ---------------------------------------------
@@ -287,23 +289,53 @@ class MetricComplex:
             / math.factorial(self.dim)
         )
 
-    def _chain_sum(self, k: int, i: int, kp: int, ip: int) -> float:
-        """Sum over chains of simplexes from (k, i) up to (kp, ip) of the
-        product of elevations along the chain."""
-        if k == kp:
-            return 1.0 if i == ip else 0.0
-        key = (k, i, kp, ip)
-        hit = self._chain_cache.get(key)
-        if hit is not None:
-            return hit
-        c = self.complex
-        target = set(c.simplex_tuples[kp][ip])
-        total = 0.0
-        for t, j in c.cofacets[k][i]:
-            if set(c.simplex_tuples[k + 1][t]) <= target:
-                total += self._elev[k + 1][t, j] * self._chain_sum(k + 1, t, kp, ip)
-        self._chain_cache[key] = total
-        return total
+    def cached(self, key, build):
+        """``build(self)``, computed on the first call with ``key`` and kept
+        on the instance; arrays are made read-only."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build(self)
+            (value.data if sparse.issparse(value) else value).flags.writeable = False
+            self._cache[key] = value
+        return value
+
+    def chain_operator(self, k: int, kp: int) -> sparse.csr_array:
+        """C(k, k') = W_{k+1} ... W_{k'}, shape (n_k, n_k').
+
+        W_j = ``chain_operator(j - 1, j)`` holds the elevation of every
+        facet s of every j-simplex t at [s, t].  Entry (s, s') of the
+        product sums the product of elevations over every ascending chain
+        of simplexes from s up to s'; it is 0 unless s is a face of s'.
+        C(k, k) is the identity.
+        """
+        if not 0 <= k <= kp <= self.dim:
+            raise ValueError(f"no chain operator from dimension {k} to {kp}")
+
+        def build(m):
+            c = m.complex
+            if kp == k:
+                return sparse.eye_array(c.n_simplices(k), format="csr")
+            if kp > k + 1:
+                return m.chain_operator(k, k + 1) @ m.chain_operator(k + 1, kp)
+            n = c.n_simplices(kp)
+            return sparse.csr_array(
+                (m._elev[kp].ravel(), (c.facets[kp].ravel(), np.repeat(np.arange(n), kp + 1))),
+                shape=(c.n_simplices(k), n),
+            )
+
+        return self.cached(("chain", k, kp), build)
+
+    def shared_hybrid_volumes(self, k: int, kp: int) -> sparse.csr_array:
+        """Every :meth:`shared_hybrid_volume` V_{s s'} of a k-simplex s and
+        a k'-simplex s' as one (n_k, n_k') matrix,
+        diag(D_k) C(k, k') diag(U_k') / d!; its diagonal for k' = k holds
+        :meth:`hybrid_volume_from_flags`."""
+        C = self.chain_operator(k, kp)
+        return (
+            sparse.diags_array(self._down[k])
+            @ C
+            @ sparse.diags_array(self._up[kp] / math.factorial(self.dim))
+        )
 
     def shared_hybrid_volume(self, s: SimplexId, sp: SimplexId) -> float:
         """Signed volume V_{s sp} shared by the hybrid cells of two
@@ -311,16 +343,20 @@ class MetricComplex:
         if s.dim > sp.dim:
             s, sp = sp, s
         c = self.complex
-        if s == sp:
-            return self.hybrid_volume_from_flags(s)
         if not set(c.simplex(s)) <= set(c.simplex(sp)):
             raise NotIncident(f"{s} and {sp} are not incident")
-        return (
+        return float(
             self._down[s.dim][s.index]
-            * self._chain_sum(s.dim, s.index, sp.dim, sp.index)
+            * self.chain_operator(s.dim, sp.dim)[s.index, sp.index]
             * self._up[sp.dim][sp.index]
             / math.factorial(self.dim)
         )
+
+    def restricted_measures(self, p: int, q: int) -> sparse.csr_array:
+        """Every :meth:`restricted_measure` of a p-face (rows) inside a
+        q-simplex (columns) as one (n_p, n_q) matrix."""
+        scale = self.volumes[p] / (math.factorial(q - p) * math.comb(q, p))
+        return sparse.diags_array(scale) @ self.chain_operator(p, q)
 
     def restricted_measure(self, h: SimplexId, s: SimplexId) -> float:
         """Hybrid measure of ``s`` inside ``h`` treated as a complex of its
@@ -329,8 +365,8 @@ class MetricComplex:
         if s.dim > h.dim or not set(c.simplex(s)) <= set(c.simplex(h)):
             raise NotIncident(f"{s} is not a face of {h}")
         q, p = h.dim, s.dim
-        m = self._chain_sum(p, s.index, q, h.index)
-        return (
+        m = self.chain_operator(p, q)[s.index, h.index]
+        return float(
             self.simplex_volume(s) * m / (math.factorial(q - p) * math.comb(q, p))
         )
 

@@ -30,14 +30,15 @@ def _from_coordinates(dim: int, points: np.ndarray, cells) -> MetricComplex:
 
 
 def gen_flat_grid(dim: int, n: int) -> MetricComplex:
-    """Flat unit-spacing grid triangulation of [0, n]^dim, dim in {2, 3}.
+    """Flat unit-spacing grid triangulation of [0, n]^dim, dim >= 2.
 
-    Squares are split into two triangles, cubes into six tetrahedra along
-    the permutation (Freudenthal) pattern, so neighboring cells match
-    face to face and every interior hinge is flat.
+    Each unit cube is split into dim! simplexes along the permutation
+    (Freudenthal) pattern: two triangles per square, six tetrahedra per
+    cube, 24 pentatopes per 4-cube.  Neighboring cells match face to face
+    and every interior hinge is flat.
     """
-    if dim not in (2, 3):
-        raise ValueError("flat grids are generated for dimension 2 or 3")
+    if dim < 2:
+        raise ValueError("flat grids need dimension >= 2")
     if n < 1:
         raise ValueError("need at least one cell per axis")
     axes = [np.arange(n + 1)] * dim

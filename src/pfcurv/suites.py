@@ -49,9 +49,7 @@ def volume_checks(m: MetricComplex) -> list[CheckResult]:
         out.append(
             CheckResult(f"volume partition k={k}", abs(hyb.sum() - total) / total, 1e-9)
         )
-        flags = np.array(
-            [m.hybrid_volume_from_flags(SimplexId(k, i)) for i in range(len(hyb))]
-        )
+        flags = m.shared_hybrid_volumes(k, k).diagonal()
         out.append(
             CheckResult(
                 f"hybrid two-path k={k}",
@@ -67,26 +65,15 @@ def volume_checks(m: MetricComplex) -> list[CheckResult]:
         worst = max(worst, _rel(diff, float(m.circumradius_sq[k].max())))
     out.append(CheckResult("elevation pythagoras", worst, 1e-10))
     if d >= 3:
-        hs = m.complex
-        worst = 0.0
-        for h in range(hs.n_simplices(d - 2)):
-            hid = SimplexId(d - 2, h)
-            parts = sum(
-                m.restricted_hinge_area(hid, e) for e in hs.faces(hid, 1)
-            )
-            area = m.simplex_volume(hid)
-            worst = max(worst, abs(parts - area) / area)
+        # restricted hinge areas: each hinge's column sums to its area, and
+        # each edge's row, weighted by dual areas, rebuilds its hybrid volume
+        A = m.restricted_measures(1, d - 2)
+        area = m.volumes[d - 2]
+        worst = float(np.max(np.abs(A.sum(axis=0) - area) / area))
         out.append(CheckResult("hinge area partition", worst, 1e-12))
-        worst = 0.0
-        scale = float(np.abs(m.volumes[1] * m.dual_volumes[1]).max()) / d
-        for i in range(hs.n_simplices(1)):
-            ell = SimplexId(1, i)
-            v_l = m.hybrid_volume(ell)
-            acc = sum(
-                m.restricted_hinge_area(x, ell) * m.dual_volume(x) / math.comb(d, 2)
-                for x in hs.cofaces(ell, d - 2)
-            )
-            worst = max(worst, abs(v_l - acc) / max(scale, 1e-300))
+        hyb = m.volumes[1] * m.dual_volumes[1] / d
+        acc = A @ m.dual_volumes[d - 2] / math.comb(d, 2)
+        worst = _rel(hyb - acc, float(np.abs(hyb).max()))
         out.append(CheckResult("edge volume decomposition", worst, 1e-10))
     return out
 

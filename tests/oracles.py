@@ -1,20 +1,31 @@
 """Reference computations.
 
 Apart from :func:`dihedral_qr`, the per-pair length-only angle kept as
-the reference for the batched dihedral table, everything here works on
-an explicit vertex embedding and never touches the length-only
-pipeline: volumes come from Gram determinants of edge vectors,
-circumcenters from the normal equations in the affine hull, and dual
-volumes from signed distances between global circumcenters.  Agreement
-with the package is therefore a genuine cross-check, not a tautology.
+the reference for the batched dihedral table, and the per-element
+chain-sum loops kept as the reference for the sparse elevation
+operators, everything here works on an explicit vertex embedding and
+never touches the length-only pipeline: volumes come from Gram
+determinants of edge vectors, circumcenters from the normal equations in
+the affine hull, and dual volumes from signed distances between global
+circumcenters.  Agreement with the package is therefore a genuine
+cross-check, not a tautology.
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy.spatial import Delaunay
 
-from pfcurv import MetricComplex, build_complex
+from pfcurv import (
+    BoundaryElement,
+    MetricComplex,
+    SimplexId,
+    ZeroMeasureElement,
+    build_complex,
+    deficit,
+    sectional,
+)
 
 
 def simplex_volume(points: np.ndarray) -> float:
@@ -156,3 +167,126 @@ def random_delaunay(dim: int, n_points: int, seed: int):
             m.coordinates = pts
             return m
     raise RuntimeError(f"no acceptable draw for seed {seed}")
+
+
+# -- per-element chain sums ------------------------------------------------
+#
+# The recursive flag sums and the per-element Ricci, scalar and transfer
+# loops the sparse operators replaced.  Each weight is summed one chain
+# at a time, with D_k = k! |s| and U_k = (d-k)! |*s| for the two ends.
+
+
+class ChainSums:
+    """Recursive chain sums and the hybrid weights built from them."""
+
+    def __init__(self, m):
+        self.m = m
+        self.chain = functools.cache(self._chain)
+
+    def _chain(self, k, i, kp, ip):
+        """Sum over chains of simplexes from (k, i) up to (kp, ip) of the
+        product of elevations along the chain."""
+        if k == kp:
+            return 1.0 if i == ip else 0.0
+        c = self.m.complex
+        target = set(c.simplex_tuples[kp][ip])
+        total = 0.0
+        for t, _ in c.cofacets[k][i]:
+            if set(c.simplex_tuples[k + 1][t]) <= target:
+                e = self.m.elevation(SimplexId(k, i), SimplexId(k + 1, t))
+                total += e * self.chain(k + 1, t, kp, ip)
+        return total
+
+    def shared(self, s, sp):
+        """V_{s sp} for a face s of sp."""
+        m = self.m
+        d = m.dim
+        down = math.factorial(s.dim) * m.volumes[s.dim][s.index]
+        up = math.factorial(d - sp.dim) * m.dual_volumes[sp.dim][sp.index]
+        return down * self.chain(s.dim, s.index, sp.dim, sp.index) * up / math.factorial(d)
+
+    def restricted(self, h, s):
+        """Hybrid measure of the face s inside h."""
+        q, p = h.dim, s.dim
+        m = self.chain(p, s.index, q, h.index)
+        return self.m.volumes[p][s.index] * m / (math.factorial(q - p) * math.comb(q, p))
+
+    def _interior_hinges_within(self, sp):
+        c = self.m.complex
+        return [x for x in c.faces(sp, c.dim - 2) if not c.is_boundary[c.dim - 2][x.index]]
+
+    def ricci_dual_edge(self, i):
+        m = self.m
+        d = m.dim
+        f = SimplexId(d - 1, i)
+        if m.complex.is_boundary[d - 1][i]:
+            raise BoundaryElement(f"face {i} lies on the boundary")
+        num = den = 0.0
+        for h in self._interior_hinges_within(f):
+            w = self.shared(h, f)
+            num += sectional(m, h) * w
+            den += w
+        if den == 0:
+            raise ZeroMeasureElement(f"face {i} has zero weight")
+        return math.comb(d, 2) * num / den
+
+    def _restricted_average(self, s, factor):
+        m = self.m
+        d = m.dim
+        if m.complex.is_boundary[s.dim][s.index]:
+            raise BoundaryElement(f"{s} lies on the boundary")
+        num = den = 0.0
+        for h in m.complex.cofaces(s, d - 2):
+            w = self.restricted(h, s)
+            num += deficit(m, h) * w
+            den += m.dual_volumes[d - 2][h.index] * w
+        if den == 0:
+            raise ZeroMeasureElement(f"{s} sees zero average dual area")
+        return factor * num / den
+
+    def ricci_simplicial_edge(self, i):
+        return self._restricted_average(SimplexId(1, i), math.comb(self.m.dim, 2))
+
+    def scalar_vertex(self, i):
+        d = self.m.dim
+        return self._restricted_average(SimplexId(0, i), d * (d - 1))
+
+    def scalar_dual_vertex(self, i):
+        m = self.m
+        d = m.dim
+        t = SimplexId(d, i)
+        hinges = self._interior_hinges_within(t)
+        if not hinges:
+            raise BoundaryElement(f"top cell {i} has no interior hinge")
+        num = den = 0.0
+        for h in hinges:
+            w = self.shared(h, t)
+            astar = m.dual_volumes[d - 2][h.index]
+            if astar == 0:
+                raise ZeroMeasureElement(f"hinge {h} has zero dual area")
+            num += d * (d - 1) * (deficit(m, h) / astar) * w
+            den += w
+        if den == 0:
+            raise ZeroMeasureElement(f"top cell {i} sees zero hinge weight")
+        return num / den
+
+    def transfer_density(self, dens_in, to_edges):
+        """Degree-1 densities moved across the lattices: dual edges onto
+        simplicial edges when ``to_edges``, else the reverse."""
+        m = self.m
+        c = m.complex
+        d = m.dim
+        k = 1 if to_edges else d - 1
+        out = np.zeros(c.n_simplices(k))
+        for i in range(out.size):
+            s = SimplexId(k, i)
+            V_s = m.hybrid_volume(s)
+            if V_s == 0:
+                raise ZeroMeasureElement(f"{s} has zero hybrid volume")
+            partners = c.cofaces(s, d - 1) if to_edges else c.faces(s, 1)
+            acc = 0.0
+            for p in partners:
+                acc += dens_in[p.index] * (self.shared(s, p) if to_edges else self.shared(p, s))
+            meas = m.volumes[1][i] if to_edges else m.dual_volumes[d - 1][i]
+            out[i] = acc / V_s * meas
+        return out

@@ -232,6 +232,9 @@ def test_gen_info_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out[0] == "d=2 V=16 E=33 F=18 χ=1 boundary=12"
+    assert cli.main(["gen", "flat-grid", "--dim", "4", "--n", "1", "-o", str(p)]) == 0
+    assert cli.main(["info", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "d=4 V=16 E=65 F=110 T=84 C4=24 χ=1 boundary=48"
 
 
 def test_gen_icosphere_and_simplex_boundary(tmp_path, capsys):

@@ -12,7 +12,6 @@ from pfcurv import (
     MetricComplex,
     NonWellCenteredWarning,
     SimplexId,
-    build_complex,
     deficit,
     gen_boundary_of_simplex,
     gen_flat_grid,
@@ -21,31 +20,13 @@ from pfcurv import (
 )
 
 
-def _grid4():
-    # Freudenthal triangulation of [0, 2]^4, 384 pentatopes with boundary
-    pts = np.array(list(itertools.product(range(3), repeat=4)))
-    vid = {tuple(p): i for i, p in enumerate(pts)}
-    cells = []
-    for corner in itertools.product(range(2), repeat=4):
-        for perm in itertools.permutations(range(4)):
-            walk = [np.array(corner)]
-            for ax in perm:
-                step = walk[-1].copy()
-                step[ax] += 1
-                walk.append(step)
-            cells.append([vid[tuple(p)] for p in walk])
-    c = build_complex(4, cells)
-    e = c.simplices[1]
-    return MetricComplex(c, ((pts[e[:, 0]] - pts[e[:, 1]]) ** 2).sum(axis=1))
-
-
 MESHES = {
     "5-cell": lambda: gen_boundary_of_simplex(4),
     "5-simplex boundary": lambda: gen_boundary_of_simplex(5),
     "perturbed grid3": lambda: perturb_lengths(gen_flat_grid(3, 3), 0.05, seed=0),
     "perturbed icosphere": lambda: perturb_lengths(gen_icosphere(2), 0.05, seed=1),
     "delaunay 3d": lambda: oracles.random_delaunay(3, 24, 1),
-    "perturbed grid4": lambda: perturb_lengths(_grid4(), 0.05, seed=2),
+    "perturbed grid4": lambda: perturb_lengths(gen_flat_grid(4, 2), 0.05, seed=2),
 }
 
 

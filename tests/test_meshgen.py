@@ -6,6 +6,7 @@ import pytest
 
 from pfcurv import DegenerateSimplex, NonWellCenteredWarning, perturb_lengths
 from pfcurv.meshgen import gen_boundary_of_simplex, gen_flat_grid, gen_icosphere
+from pfcurv.suites import run_suite
 
 
 def test_flat_grid_2d_counts(grid2):
@@ -39,9 +40,23 @@ def test_flat_grid_has_coordinates(grid2):
     assert np.allclose(derived, grid2.edge_lengths_sq, rtol=1e-15)
 
 
+def test_flat_grid_4d_is_flat_and_passes_checks():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        m = gen_flat_grid(4, 2)
+        results = run_suite(m, "all")
+    c = m.complex
+    assert [c.n_simplices(k) for k in (0, 4)] == [81, 384]
+    assert m.volumes[4].sum() == pytest.approx(16.0, rel=1e-14)
+    interior = ~c.is_boundary[2]
+    assert interior.any()
+    assert np.abs(2.0 * math.pi - m.hinge_angle_sums[interior]).max() <= 1e-14
+    assert results and all(r.passed for r in results), [r for r in results if not r.passed]
+
+
 def test_flat_grid_validation():
     with pytest.raises(ValueError):
-        gen_flat_grid(4, 2)
+        gen_flat_grid(1, 2)
     with pytest.raises(ValueError):
         gen_flat_grid(2, 0)
 
