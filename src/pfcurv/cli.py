@@ -115,11 +115,21 @@ def cmd_info(args) -> int:
     return 0
 
 
+ELEMENT_HEADER = ["index", "vertices", "measure", "dual_measure", "hybrid_volume"]
+
+
 def _measure_columns(m, kp: int):
     meas = m.volumes[kp]
     dual = m.dual_volumes[kp]
     hyb = meas * dual / math.comb(m.dim, kp)
     return meas, dual, hyb
+
+
+def _element_rows(m, k: int) -> list[list]:
+    """The ``ELEMENT_HEADER`` columns of every k-simplex."""
+    names = ["-".join(map(str, s)) for s in m.complex.simplices[k].tolist()]
+    cols = [c.tolist() for c in _measure_columns(m, k)]
+    return [list(r) for r in zip(range(len(names)), names, *cols)]
 
 
 def cmd_curvature(args) -> int:
@@ -140,9 +150,7 @@ def cmd_curvature(args) -> int:
         "vertices": 0,
         "dual-vertices": d,
     }[at]
-    meas, dual, hyb = _measure_columns(m, carrier)
     factor = report.metadata["orientation_factor"] if args.both_orientations else 1.0
-    header = ["index", "vertices", "measure", "dual_measure", "hybrid_volume"]
     value_names = []
     for name in cols:
         if name.endswith("_normalized"):
@@ -151,27 +159,12 @@ def cmd_curvature(args) -> int:
         elif args.normalized and f"{name}_normalized" in cols:
             continue
         value_names.append(name)
-    header += value_names
-    c = m.complex
-    rows = []
-    for i in range(c.n_simplices(carrier)):
-        row = [
-            i,
-            "-".join(map(str, c.simplices[carrier][i])),
-            float(meas[i]),
-            float(dual[i]),
-            float(hyb[i]),
-        ]
-        for name in value_names:
-            v = cols[name][i]
-            if name == "is_boundary":
-                row.append(bool(v))
-            elif name.startswith(("riemann", "ricci")):
-                row.append(factor * float(v))
-            else:
-                row.append(float(v))
-        rows.append(row)
-    _emit_table(args, header, rows)
+    values = []
+    for name in value_names:
+        v, scale = cols[name], factor if name.startswith(("riemann", "ricci")) else 1.0
+        values.append(v.tolist() if v.dtype == bool else (scale * v.astype(float)).tolist())
+    rows = [row + list(extra) for row, extra in zip(_element_rows(m, carrier), zip(*values))]
+    _emit_table(args, ELEMENT_HEADER + value_names, rows)
     return 0
 
 
@@ -195,18 +188,7 @@ def cmd_volumes(args) -> int:
     if args.dim is not None:
         if not 0 <= args.dim <= m.dim:
             return _fail(4, f"no dimension-{args.dim} skeleton in a d={m.dim} mesh")
-        meas, dual, hyb = _measure_columns(m, args.dim)
-        header = ["index", "vertices", "measure", "dual_measure", "hybrid_volume"]
-        rows = [
-            [
-                i,
-                "-".join(map(str, c.simplices[args.dim][i])),
-                float(meas[i]),
-                float(dual[i]),
-                float(hyb[i]),
-            ]
-            for i in range(c.n_simplices(args.dim))
-        ]
+        header, rows = ELEMENT_HEADER, _element_rows(m, args.dim)
     else:
         header = ["k", "count", "measure", "dual_measure", "hybrid_volume"]
         rows = []

@@ -1,10 +1,11 @@
 """Combinatorial simplicial complexes assembled from top-dimensional cells.
 
-Simplexes are stored per dimension as lexicographically sorted tuples of
-vertex ids, so every simplex has a dense, stable (dimension, index) id.
-Orientation bookkeeping uses the sorted vertex order: the boundary of a
-simplex picks up the sign (-1)**position for the face obtained by deleting
-the vertex at that position.
+As in PyDEC's ``simplicial_complex`` (Bell & Hirani, ACM TOMS 2012),
+``simplices[k]`` holds the k-simplexes as sorted vertex rows in
+lexicographic order, giving each a dense, stable (dimension, index) id, and
+``facets[k][i, j]`` indexes the face of k-simplex i opposite its j-th
+vertex, which picks up the boundary sign (-1)**j.  Tuple views, ordered
+hinge stars and the orientation are built from these on first use.
 """
 
 from __future__ import annotations
@@ -47,110 +48,95 @@ class Hinge:
     is_boundary: bool
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order, and the position of every
+    input row among them."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    start = np.ones(len(srt), dtype=bool)
+    start[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(start) - 1
+    return srt[start], inverse
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by the
+    edges (a, b): the smallest node id in the component.
+
+    Min-label propagation with pointer jumping; the number of rounds is
+    bounded by the component diameter.
+    """
+    lab = np.arange(n)
+    while True:
+        low = np.minimum(lab[a], lab[b])
+        new = lab.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _matches(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions a, b with key[a] == key[b], for keys that occur at most
+    twice."""
+    order = np.argsort(key, kind="stable")
+    same = np.flatnonzero(key[order][1:] == key[order][:-1])
+    return order[same], order[same + 1]
+
+
 class SimplicialComplex:
     """Pure combinatorics of a simplicial complex of dimension ``d``.
 
     Instances are built with :func:`build_complex` and are immutable in
-    practice: incidence tables are computed during construction, and the
-    face index tables (:meth:`edge_ids`, :attr:`top_hinges`) and the
-    boundary matrices once, on first use.
+    practice.  ``simplices``, ``facets`` and ``is_boundary`` are arrays
+    set at construction; the face index tables (:meth:`edge_ids`,
+    :attr:`top_hinges`), the boundary matrices, the tuple views, the
+    ordered hinge stars and the orientation are built once, on first use.
     """
 
-    def __init__(self, dim: int, skeletons: list[list[tuple[int, ...]]]):
+    def __init__(self, dim: int, simplices: list[np.ndarray], facets: list[np.ndarray | None]):
         self.dim = dim
-        self.simplex_tuples: list[list[tuple[int, ...]]] = skeletons
-        self.index: list[dict[tuple[int, ...], int]] = [
-            {s: i for i, s in enumerate(sk)} for sk in skeletons
-        ]
-        self.simplices: list[np.ndarray] = [
-            np.array(sk, dtype=np.int64).reshape(len(sk), k + 1)
-            for k, sk in enumerate(skeletons)
-        ]
-        self._build_incidence()
-        self._find_boundary()
+        self.simplices = simplices
+        self.facets = facets
         self._hinges: list[Hinge] | None = None
         self._edge_ids: dict[int, np.ndarray] = {}
         self._boundary: dict[int, sparse.csr_array] = {}
-        self.orientable, self.orientation = self._orient()
+        self.is_boundary = self._find_boundary()
 
-    # -- construction helpers -------------------------------------------
-
-    def _build_incidence(self) -> None:
+    def _find_boundary(self) -> list[np.ndarray]:
         d = self.dim
-        # facets[k][i, j] = index of the face of simplex i opposite its
-        # j-th vertex (in sorted order); cofacets inverts that table.
-        self.facets: list[np.ndarray | None] = [None]
-        self.cofacets: list[list[list[tuple[int, int]]] | None] = []
-        for k in range(1, d + 1):
-            idx = self.index[k - 1]
-            tab = np.empty((len(self.simplex_tuples[k]), k + 1), dtype=np.int64)
-            for i, s in enumerate(self.simplex_tuples[k]):
-                for j in range(k + 1):
-                    tab[i, j] = idx[s[:j] + s[j + 1:]]
-            self.facets.append(tab)
-        for k in range(d):
-            co: list[list[tuple[int, int]]] = [[] for _ in self.simplex_tuples[k]]
-            tab = self.facets[k + 1]
-            for i in range(tab.shape[0]):
-                for j in range(k + 2):
-                    co[tab[i, j]].append((i, j))
-            self.cofacets.append(co)
-        self.cofacets.append(None)
-
-    def _find_boundary(self) -> None:
-        d = self.dim
-        self.is_boundary: list[np.ndarray] = [
-            np.zeros(len(sk), dtype=bool) for sk in self.simplex_tuples
-        ]
-        counts = np.array([len(c) for c in self.cofacets[d - 1]])
+        counts = np.bincount(self.facets[d].ravel(), minlength=self.n_simplices(d - 1))
         if (counts > 2).any():
-            i = int(np.argmax(counts > 2))
-            raise NonManifold(
-                f"{d - 1}-simplex {self.simplex_tuples[d - 1][i]} has "
-                f"{counts[i]} top cofaces"
-            )
-        self.is_boundary[d - 1][:] = counts == 1
+            r = SimplexId(d - 1, int(np.argmax(counts > 2)))
+            raise NonManifold(f"{d - 1}-simplex {self.simplex(r)} has {counts[r.index]} top cofaces")
+        flags = [np.zeros(len(s), dtype=bool) for s in self.simplices]
+        flags[d - 1] = counts == 1
         for k in range(d - 2, -1, -1):
-            flag = self.is_boundary[k]
-            upper = self.is_boundary[k + 1]
-            tab = self.facets[k + 1]
-            for i in np.nonzero(upper)[0]:
-                flag[tab[i]] = True
+            flags[k][self.facets[k + 1][flags[k + 1]].ravel()] = True
+        return flags
 
-    def _orient(self) -> tuple[bool, np.ndarray | None]:
-        # Try to 2-color the top cells so that every interior
-        # codimension-1 face receives opposite induced orientations.
-        d = self.dim
-        n = len(self.simplex_tuples[d])
-        sign = np.zeros(n, dtype=np.int64)
-        ok = True
-        for seed in range(n):
-            if sign[seed]:
-                continue
-            sign[seed] = 1
-            stack = [seed]
-            while stack:
-                t = stack.pop()
-                for j in range(d + 1):
-                    f = self.facets[d][t, j]
-                    for t2, j2 in self.cofacets[d - 1][f]:
-                        if t2 == t:
-                            continue
-                        want = -sign[t] * (-1) ** j * (-1) ** j2
-                        if sign[t2] == 0:
-                            sign[t2] = want
-                            stack.append(t2)
-                        elif sign[t2] != want:
-                            ok = False
-        return ok, (sign if ok else None)
+    # -- views built on first use ----------------------------------------
+
+    @functools.cached_property
+    def simplex_tuples(self) -> list[list[tuple[int, ...]]]:
+        """Every simplex as a tuple of plain ints, per dimension."""
+        return [[tuple(r) for r in s.tolist()] for s in self.simplices]
+
+    @functools.cached_property
+    def index(self) -> list[dict[tuple[int, ...], int]]:
+        """Per dimension, the index of each simplex keyed by its tuple."""
+        return [{s: i for i, s in enumerate(sk)} for sk in self.simplex_tuples]
 
     # -- queries ---------------------------------------------------------
 
     def n_simplices(self, k: int) -> int:
-        return len(self.simplex_tuples[k])
+        return len(self.simplices[k])
 
     def simplex(self, s: SimplexId) -> tuple[int, ...]:
-        return self.simplex_tuples[s.dim][s.index]
+        return tuple(self.simplices[s.dim][s.index].tolist())
 
     def id_of(self, vertices: Iterable[int]) -> SimplexId:
         t = tuple(sorted(vertices))
@@ -163,25 +149,15 @@ class SimplicialComplex:
         """All k-dimensional faces of ``s`` (k <= dim of ``s``)."""
         if not 0 <= k <= s.dim:
             raise ValueError(f"no {k}-faces on a {s.dim}-simplex")
-        verts = self.simplex(s)
-        idx = self.index[k]
-        return [
-            SimplexId(k, idx[c]) for c in itertools.combinations(verts, k + 1)
-        ]
+        combos = itertools.combinations(self.simplex(s), k + 1)
+        return [SimplexId(k, self.index[k][c]) for c in combos]
 
     def cofaces(self, s: SimplexId, k: int) -> list[SimplexId]:
         """All k-dimensional simplexes containing ``s`` (k >= dim of ``s``)."""
         if not s.dim <= k <= self.dim:
             raise ValueError(f"no {k}-cofaces of a {s.dim}-simplex in dim {self.dim}")
-        ids = {s.index}
-        for j in range(s.dim, k):
-            ids = {t for i in ids for t, _ in self.cofacets[j][i]}
-        sv = set(self.simplex(s))
-        return [
-            SimplexId(k, i)
-            for i in sorted(ids)
-            if sv.issubset(self.simplex_tuples[k][i])
-        ]
+        hits = np.isin(self.simplices[k], self.simplices[s.dim][s.index]).sum(axis=1)
+        return [SimplexId(k, int(i)) for i in np.flatnonzero(hits == s.dim + 1)]
 
     def boundary_matrix(self, k: int) -> sparse.csr_array:
         """Signed incidence of k-simplexes onto their (k-1)-faces.
@@ -258,68 +234,102 @@ class SimplicialComplex:
         tab.flags.writeable = False
         return tab
 
-    # -- hinges ----------------------------------------------------------
+    # -- hinge stars -----------------------------------------------------
+
+    @functools.cached_property
+    def _star_links(self) -> np.ndarray:
+        """How the (top cell, hinge) incidences link up around each hinge.
+
+        Node t * P + p stands for top cell t at hinge column p = (i, j) of
+        :attr:`top_hinges`.  Its two ridges through the hinge are the
+        facets opposite i (slot 0) and opposite j (slot 1); entry
+        [node, slot] is the node across that ridge, or -1 on the boundary.
+        """
+        d = self.dim
+        i, j = np.array(list(itertools.combinations(range(d + 1), 2))).T
+        F = self.facets[d]
+        # a ridge and its one vertex outside the hinge name the incidence:
+        # v_j sits at position j - 1 of the facet opposite i, and v_i at
+        # position i of the facet opposite j
+        a, b = _matches(np.stack([F[:, i] * d + j - 1, F[:, j] * d + i], axis=2).ravel())
+        across = np.full(2 * F.shape[0] * len(i), -1)
+        across[a], across[b] = b // 2, a // 2
+        return across.reshape(-1, 2)
+
+    def _check_stars(self) -> None:
+        """Raise :class:`BrokenCycle` unless the top cells around every
+        hinge are connected across ridges through that hinge.
+
+        With no ridge on more than two top cells, each cell of a star
+        links to at most two others, so one component per hinge means
+        each star is a single cycle or a single open chain, and it is open
+        exactly when the hinge lies on a boundary ridge.
+        """
+        across = self._star_links
+        a, s = np.nonzero(across >= 0)
+        lab = _components(len(across), a, across[a, s])
+        roots = self.top_hinges.ravel()[lab == np.arange(len(lab))]
+        broken = np.bincount(roots, minlength=self.n_simplices(self.dim - 2)) != 1
+        if broken.any():
+            h = SimplexId(self.dim - 2, int(np.argmax(broken)))
+            raise BrokenCycle(f"hinge {self.simplex(h)}: star splits into several fans")
 
     def hinges(self) -> list[Hinge]:
-        """All codimension-2 simplexes with ordered stars (``dim >= 2``)."""
-        if self.dim < 2:
+        """All codimension-2 simplexes with ordered stars (``dim >= 2``).
+
+        An open star starts at its lowest end cell and an interior star at
+        its lowest cell, leaving it across the ridge opposite the lower of
+        the two hinge columns.
+        """
+        d = self.dim
+        if d < 2:
             raise ValueError("hinges need dimension >= 2")
         if self._hinges is None:
-            self._hinges = [
-                self._make_hinge(i) for i in range(self.n_simplices(self.dim - 2))
-            ]
+            across = self._star_links.tolist()
+            flat = self.top_hinges.ravel()
+            groups = np.split(np.argsort(flat, kind="stable"), np.cumsum(np.bincount(flat))[:-1])
+            self._hinges = []
+            for h, star in enumerate(groups):
+                star = star.tolist()
+                ends = [(n, 1 - across[n].index(-1)) for n in star if -1 in across[n]]
+                cur, slot = ends[0] if ends else (star[0], 0)
+                order = [cur]
+                while across[cur][slot] not in (-1, order[0]):
+                    cur, prev = across[cur][slot], cur
+                    slot = 1 if across[cur][0] == prev else 0
+                    order.append(cur)
+                cells = tuple(SimplexId(d, n // self.top_hinges.shape[1]) for n in order)
+                self._hinges.append(Hinge(SimplexId(d - 2, h), cells, bool(self.is_boundary[d - 2][h])))
         return self._hinges
 
-    def _make_hinge(self, h: int) -> Hinge:
-        d = self.dim
-        hv = set(self.simplex_tuples[d - 2][h])
-        tops = [t.index for t in self.cofaces(SimplexId(d - 2, h), d)]
-        # Each top cell around the hinge has exactly two codim-1 faces
-        # containing it; walking across those faces orders the star.
-        ridge_pair: dict[int, tuple[int, int]] = {}
-        ridge_tops: dict[int, list[int]] = {}
-        fidx = self.index[d - 1]
-        for t in tops:
-            extra = [v for v in self.simplex_tuples[d][t] if v not in hv]
-            r = tuple(
-                fidx[tuple(sorted(hv | {x}))] for x in extra
-            )
-            ridge_pair[t] = r  # type: ignore[assignment]
-            for f in r:
-                ridge_tops.setdefault(f, []).append(t)
-        ends = [f for f, ts in ridge_tops.items() if len(ts) == 1]
-        name = self.simplex_tuples[d - 2][h]
-        if len(ends) not in (0, 2):
-            raise BrokenCycle(f"hinge {name}: star splits into several fans")
-        if ends:
-            start_face = min(ends)
-            cur = ridge_tops[start_face][0]
-            prev_face = start_face
-        else:
-            cur = tops[0]
-            prev_face = ridge_pair[cur][0]
-        order = [cur]
-        while True:
-            a, b = ridge_pair[cur]
-            nxt_face = b if a == prev_face else a
-            cands = [t for t in ridge_tops[nxt_face] if t != cur]
-            if not cands:
-                break  # reached the opposite boundary face
-            cur = cands[0]
-            if cur == order[0] and not ends:
-                break  # cycle closed
-            order.append(cur)
-            prev_face = nxt_face
-        if len(order) != len(tops):
-            raise BrokenCycle(f"hinge {name}: star does not close into one cycle")
-        boundary = bool(self.is_boundary[d - 2][h])
-        if bool(ends) != boundary:
-            raise BrokenCycle(f"hinge {name}: open star on an interior hinge")
-        return Hinge(
-            simplex=SimplexId(d - 2, h),
-            star=tuple(SimplexId(d, t) for t in order),
-            is_boundary=boundary,
-        )
+    # -- orientation -----------------------------------------------------
+
+    @functools.cached_property
+    def orientation(self) -> np.ndarray | None:
+        """Sign of every top cell in a consistent orientation (the lowest
+        cell of each connected piece is +1), or None if there is none.
+
+        Top cell t has two sheets, t (+) and n + t (-).  Cells t, t2 that
+        meet at ridge positions j, j2 induce opposite ridge orientations
+        when sign[t2] = -sign[t] (-1)**(j + j2); joining the sheets that
+        satisfy this gives the signed double cover, and the complex is
+        orientable when no cell has both sheets in one component.
+        """
+        d, n = self.dim, self.n_simplices(self.dim)
+        p, q = _matches(self.facets[d].ravel())
+        t, t2 = p // (d + 1), q // (d + 1)
+        flip = (p % (d + 1) + q % (d + 1)) % 2 == 0
+        a = np.concatenate([t, t + n])
+        b = np.concatenate([np.where(flip, t2 + n, t2), np.where(flip, t2, t2 + n)])
+        lab = _components(2 * n, a, b)
+        plus, minus = lab[:n], lab[n:]
+        if (plus == minus).any():
+            return None
+        return np.where(plus < minus, 1, -1)
+
+    @property
+    def orientable(self) -> bool:
+        return self.orientation is not None
 
 
 def build_complex(
@@ -334,7 +344,7 @@ def build_complex(
     ----------
     dimension : int
         Dimension d of the cells (each cell lists d+1 distinct vertex ids).
-    cells : sequence of sequences of int
+    cells : sequence of sequences of int, or an int array of shape (n, d+1)
         Top cells; vertex ids are arbitrary integers.
     require_orientation : bool
         Raise :class:`InconsistentOrientation` when no globally consistent
@@ -347,29 +357,27 @@ def build_complex(
     d = dimension
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if len(cells) == 0:
-        raise ValueError("at least one cell is required")
-    seen: set[tuple[int, ...]] = set()
-    tops: list[tuple[int, ...]] = []
-    for c in cells:
-        t = tuple(sorted(int(v) for v in c))
-        if len(set(t)) != d + 1:
-            raise ValueError(f"cell {tuple(c)} does not have {d + 1} distinct vertices")
-        if t in seen:
-            raise DuplicateCell(f"cell {t} supplied more than once")
-        seen.add(t)
-        tops.append(t)
-    skeletons: list[list[tuple[int, ...]]] = [[] for _ in range(d + 1)]
-    skeletons[d] = sorted(tops)
-    level: set[tuple[int, ...]] = set(tops)
-    for k in range(d - 1, -1, -1):
-        lower = {s[:j] + s[j + 1:] for s in level for j in range(k + 2)}
-        skeletons[k] = sorted(lower)
-        level = lower
-    c = SimplicialComplex(d, skeletons)
+    given = np.asarray(cells, dtype=np.int64)
+    if given.ndim != 2 or given.shape[1] != d + 1 or not len(given):
+        raise ValueError(f"cells must be a nonempty list of {d + 1} vertex ids each")
+    top = np.sort(given, axis=1)
+    repeated = (top[:, 1:] == top[:, :-1]).any(axis=1)
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise ValueError(f"cell {tuple(given[i].tolist())} does not have {d + 1} distinct vertices")
+    simplices, facets = [None] * (d + 1), [None] * (d + 1)
+    simplices[d], where = _unique_rows(top)
+    if len(simplices[d]) < len(top):
+        i = int(np.argmax(np.bincount(where) > 1))
+        raise DuplicateCell(f"cell {tuple(simplices[d][i].tolist())} supplied more than once")
+    for k in range(d, 0, -1):
+        # row j of ``drop`` lists the positions that remain after deleting j
+        drop = np.array([[c for c in range(k + 1) if c != j] for j in range(k + 1)])
+        simplices[k - 1], inverse = _unique_rows(simplices[k][:, drop].reshape(-1, k))
+        facets[k] = inverse.reshape(-1, k + 1)
+    c = SimplicialComplex(d, simplices, facets)
     if d >= 2:
-        c.hinges()
+        c._check_stars()
     if require_orientation and not c.orientable:
         raise InconsistentOrientation("complex is not orientable")
     return c
-

@@ -33,12 +33,13 @@ from .geometry import MetricComplex
 TWO_PI = 2.0 * math.pi
 
 
-def _hinge(m: MetricComplex, h) -> Hinge:
+def _hinge(m: MetricComplex, h) -> SimplexId:
+    """The id of a hinge given as a :class:`SimplexId` or a :class:`Hinge`."""
     if isinstance(h, Hinge):
-        return h
+        h = h.simplex
     if h.dim != m.dim - 2:
         raise ValueError(f"hinges have dimension {m.dim - 2}, got {h.dim}")
-    return m.complex.hinges()[h.index]
+    return h
 
 
 def _deficits(m: MetricComplex) -> np.ndarray:
@@ -54,26 +55,22 @@ def deficit(m: MetricComplex, h, *, allow_boundary: bool = False) -> float:
     ``allow_boundary`` they get the exterior-angle convention
     pi - sum of angles, otherwise they raise :class:`BoundaryHinge`.
     """
-    hg = _hinge(m, h)
-    total = m.hinge_angle_sums[hg.simplex.index]
-    if hg.is_boundary:
+    h = _hinge(m, h)
+    total = m.hinge_angle_sums[h.index]
+    if m.complex.is_boundary[h.dim][h.index]:
         if not allow_boundary:
-            raise BoundaryHinge(
-                f"hinge {m.complex.simplex(hg.simplex)} lies on the boundary"
-            )
+            raise BoundaryHinge(f"hinge {m.complex.simplex(h)} lies on the boundary")
         return float(math.pi - total)
     return float(TWO_PI - total)
 
 
 def sectional(m: MetricComplex, h) -> float:
     """Sectional curvature of the hinge plane: deficit over dual area."""
-    hg = _hinge(m, h)
-    astar = m.dual_volume(hg.simplex)
+    h = _hinge(m, h)
+    astar = m.dual_volume(h)
     if astar == 0:
-        raise ZeroMeasureElement(
-            f"hinge {m.complex.simplex(hg.simplex)} has zero dual area"
-        )
-    return deficit(m, hg) / astar
+        raise ZeroMeasureElement(f"hinge {m.complex.simplex(h)} has zero dual area")
+    return deficit(m, h) / astar
 
 def riemann_hinge(
     m: MetricComplex, h, *, normalized: bool = False, both_orientations: bool = False

@@ -116,8 +116,8 @@ def exterior_derivative(w: Cochain) -> Cochain:
     the signed sum of values on its boundary k-elements.
 
     On the dual lattice the boundary of the dual cell *s consists of the
-    *t for cofacets t of s, with the transposed simplicial signs; d
-    composes to zero exactly on both lattices.
+    *t for the simplexes t that have s as a facet, with the transposed
+    simplicial signs; d composes to zero exactly on both lattices.
     """
     m = w.metric
     d = m.dim

@@ -109,8 +109,7 @@ class MetricComplex:
         self._elev: list[np.ndarray | None] = [None]
 
         for k in range(1, d + 1):
-            verts = c.simplices[k]
-            n = verts.shape[0]
+            n = c.n_simplices(k)
             D2 = np.zeros((n, k + 1, k + 1))
             pair_l2 = self.edge_lengths_sq[c.edge_ids(k)]
             for col, (p, q) in enumerate(itertools.combinations(range(k + 1), 2)):
@@ -130,7 +129,7 @@ class MetricComplex:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise DegenerateSimplex(
-                    f"{k}-simplex {tuple(verts[i])} has non-positive volume "
+                    f"{k}-simplex {c.simplex(SimplexId(k, i))} has non-positive volume "
                     f"(vol^2 = {vol_sq[i]:.3e})"
                 )
             rhs = np.zeros((n, k + 2))
@@ -147,7 +146,7 @@ class MetricComplex:
             except np.linalg.LinAlgError:
                 i = self._first_non_spd(G)
                 raise DegenerateSimplex(
-                    f"{k}-simplex {tuple(verts[i])} has a non-positive-definite "
+                    f"{k}-simplex {c.simplex(SimplexId(k, i))} has a non-positive-definite "
                     "Gram matrix"
                 ) from None
             coords = np.zeros((n, k + 1, k))

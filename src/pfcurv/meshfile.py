@@ -27,7 +27,7 @@ import numpy as np
 
 from .complex import build_complex
 from .dec import DUAL, SIMPLICIAL, Cochain
-from .errors import MeshFileError, PfcurvError
+from .errors import MeshFileError
 from .geometry import MetricComplex
 
 LENGTH_AGREEMENT_RTOL = 1e-9
@@ -53,6 +53,54 @@ def _dump(doc: Any, path_or_file) -> None:
             f.write("\n")
 
 
+def _cell_array(cells: list, dim: int) -> np.ndarray:
+    """The cells as an int array, each row dim+1 distinct nonnegative ids."""
+    try:
+        arr = np.array(cells)
+    except ValueError:  # ragged rows
+        arr = np.empty(0)
+    got = ""
+    if arr.ndim == 2 and arr.shape[1] == dim + 1 and arr.dtype.kind in "iu":
+        srt = np.sort(arr, axis=1)
+        bad = (srt[:, 0] < 0) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not bad.any():
+            return arr
+        got = f", got {cells[int(np.argmax(bad))]!r}"
+    raise MeshFileError(f"each cell must list {dim + 1} distinct nonnegative vertex ids{got}")
+
+
+def _explicit_lengths(lengths, edges: np.ndarray) -> np.ndarray:
+    """Squared length of every edge (sorted rows ``edges``) from the
+    ``edge_lengths_sq`` entries, which must name each edge once."""
+    if not isinstance(lengths, list):
+        raise MeshFileError("edge_lengths_sq must be a list")
+    n = len(lengths)
+    try:
+        pairs = np.sort(np.array([e["v"] for e in lengths], dtype=np.int64).reshape(n, 2), axis=1)
+        vals = np.array([e["L2"] for e in lengths], dtype=np.float64).reshape(n)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        raise MeshFileError('edge length entries look like {"v": [i, j], "L2": x}') from None
+    # sorted rows (a, b) have sorted keys a * base + b; pairs with an id
+    # outside 0..base-1 get the key -1, which no edge has
+    base = int(edges.max()) + 1
+    key = edges[:, 0] * base + edges[:, 1]
+    inside = (pairs[:, 0] >= 0) & (pairs[:, 1] < base)
+    want = np.where(inside, pairs[:, 0] * base + pairs[:, 1], -1)
+    idx = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    for bad, why in (
+        (key[idx] != want, "is not part of the complex"),
+        (np.bincount(idx, minlength=len(key))[idx] > 1, "is listed twice"),
+        (~(vals > 0), "has a non-positive squared length"),
+    ):
+        if bad.any():
+            raise MeshFileError(f"edge {tuple(pairs[int(np.argmax(bad))].tolist())} {why}")
+    if n < len(key):
+        raise MeshFileError(f"{len(key) - n} edges have no squared length")
+    explicit = np.empty(len(key))
+    explicit[idx] = vals
+    return explicit
+
+
 def read_mesh(path_or_file) -> MetricComplex:
     """Read, validate and build a metric complex from a mesh file."""
     doc = _load(path_or_file)
@@ -67,42 +115,23 @@ def read_mesh(path_or_file) -> MetricComplex:
         raise MeshFileError(f"dimension must be a positive integer, got {dim!r}")
     if not isinstance(cells, list) or not cells:
         raise MeshFileError("cells must be a nonempty list")
-    for cell in cells:
-        if (
-            not isinstance(cell, list)
-            or len(cell) != dim + 1
-            or not all(isinstance(v, int) and v >= 0 for v in cell)
-        ):
-            raise MeshFileError(
-                f"each cell must list {dim + 1} nonnegative vertex ids, got {cell!r}"
-            )
     coords = doc.get("coordinates")
     lengths = doc.get("edge_lengths_sq")
     if coords is None and lengths is None:
         raise MeshFileError("mesh needs coordinates or edge_lengths_sq")
-
-    try:
-        c = build_complex(dim, cells)
-    except PfcurvError:
-        raise
-    n_vert = c.n_simplices(0)
+    c = build_complex(dim, _cell_array(cells, dim))
     vmax = int(c.simplices[0].max())
 
     pts = None
     if coords is not None:
-        if not isinstance(coords, list) or len(coords) <= vmax:
-            raise MeshFileError(
-                f"coordinates must cover vertex ids up to {vmax}"
-            )
-        width = {len(p) for p in coords}
-        if len(width) != 1 or min(width) < dim:
-            raise MeshFileError(
-                "coordinate rows must share one length >= the mesh dimension"
-            )
         try:
-            pts = np.asarray(coords, dtype=np.float64)
+            pts = np.array(coords, dtype=np.float64)
         except (TypeError, ValueError):
-            raise MeshFileError("coordinates must be numeric") from None
+            raise MeshFileError("coordinates must be rows of numbers") from None
+        if pts.ndim != 2 or pts.shape[1] < dim:
+            raise MeshFileError("coordinate rows must share one length >= the mesh dimension")
+        if len(pts) <= vmax:
+            raise MeshFileError(f"coordinates must cover vertex ids up to {vmax}")
         if not np.isfinite(pts).all():
             raise MeshFileError("coordinates must be finite")
 
@@ -114,40 +143,13 @@ def read_mesh(path_or_file) -> MetricComplex:
 
     explicit = None
     if lengths is not None:
-        if not isinstance(lengths, list):
-            raise MeshFileError("edge_lengths_sq must be a list")
-        explicit = np.full(c.n_simplices(1), np.nan)
-        for item in lengths:
-            if (
-                not isinstance(item, dict)
-                or "v" not in item
-                or "L2" not in item
-                or not isinstance(item["v"], list)
-                or len(item["v"]) != 2
-            ):
-                raise MeshFileError(
-                    f'edge length entries look like {{"v": [i, j], "L2": x}}, got {item!r}'
-                )
-            key = tuple(sorted(int(v) for v in item["v"]))
-            idx = c.index[1].get(key)
-            if idx is None:
-                raise MeshFileError(f"edge {key} is not part of the complex")
-            if not np.isnan(explicit[idx]):
-                raise MeshFileError(f"edge {key} listed twice")
-            val = float(item["L2"])
-            if not val > 0:
-                raise MeshFileError(f"edge {key} has non-positive squared length {val}")
-            explicit[idx] = val
-        if np.isnan(explicit).any():
-            missing = int(np.isnan(explicit).sum())
-            raise MeshFileError(f"{missing} edges have no squared length")
-
+        explicit = _explicit_lengths(lengths, edges)
     if derived is not None and explicit is not None:
         rel = np.abs(derived - explicit) / np.maximum(np.abs(explicit), 1e-300)
         if (rel > LENGTH_AGREEMENT_RTOL).any():
             i = int(np.argmax(rel))
             raise MeshFileError(
-                f"edge {tuple(edges[i])}: coordinate length {derived[i]!r} "
+                f"edge {tuple(edges[i].tolist())}: coordinate length {derived[i]!r} "
                 f"disagrees with explicit length {explicit[i]!r}"
             )
 
@@ -161,7 +163,7 @@ def write_mesh(path_or_file, m: MetricComplex) -> None:
     c = m.complex
     doc: dict[str, Any] = {
         "dimension": c.dim,
-        "cells": [list(map(int, t)) for t in c.simplex_tuples[c.dim]],
+        "cells": c.simplices[c.dim].tolist(),
     }
     if m.coordinates is not None:
         doc["coordinates"] = [list(map(float, p)) for p in m.coordinates]

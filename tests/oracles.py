@@ -182,6 +182,13 @@ class ChainSums:
     def __init__(self, m):
         self.m = m
         self.chain = functools.cache(self._chain)
+        # cofacets[k][i]: the (k+1)-simplexes that have k-simplex i as a facet
+        c = m.complex
+        self.cofacets = [[[] for _ in range(c.n_simplices(k))] for k in range(c.dim)]
+        for k in range(1, c.dim + 1):
+            for t, row in enumerate(c.facets[k].tolist()):
+                for f in row:
+                    self.cofacets[k - 1][f].append(t)
 
     def _chain(self, k, i, kp, ip):
         """Sum over chains of simplexes from (k, i) up to (kp, ip) of the
@@ -191,7 +198,7 @@ class ChainSums:
         c = self.m.complex
         target = set(c.simplex_tuples[kp][ip])
         total = 0.0
-        for t, _ in c.cofacets[k][i]:
+        for t in self.cofacets[k][i]:
             if set(c.simplex_tuples[k + 1][t]) <= target:
                 e = self.m.elevation(SimplexId(k, i), SimplexId(k + 1, t))
                 total += e * self.chain(k + 1, t, kp, ip)

@@ -323,6 +323,21 @@ def test_invalid_mesh_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_vertex_exits_2(tmp_path, capsys):
+    rep = write_doc(
+        tmp_path,
+        {
+            "dimension": 2,
+            "cells": [[0, 0, 1]],
+            "edge_lengths_sq": [{"v": [0, 1], "L2": 1.0}],
+        },
+        "rep.json",
+    )
+    assert cli.main(["info", rep]) == 2
+    err = capsys.readouterr().err
+    assert "distinct" in err and "[0, 0, 1]" in err
+
+
 def test_degenerate_mesh_exits_3(tmp_path, capsys):
     bad = write_doc(
         tmp_path,
@@ -338,7 +353,8 @@ def test_degenerate_mesh_exits_3(tmp_path, capsys):
         "degenerate.json",
     )
     assert cli.main(["info", bad]) == 3
-    assert capsys.readouterr().err.startswith("pfcurv: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("pfcurv: error: 2-simplex (0, 1, 2) has non-positive volume")
 
 
 def test_unsupported_generator_argument_exits_4(tmp_path, capsys):

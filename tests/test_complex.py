@@ -3,7 +3,10 @@ import pytest
 
 from pfcurv import (
     BrokenCycle,
+    DegenerateSimplex,
     DuplicateCell,
+    InconsistentOrientation,
+    MetricComplex,
     NonManifold,
     SimplexId,
     build_complex,
@@ -95,6 +98,76 @@ def test_broken_vertex_star_rejected():
         build_complex(2, cells)
 
 
+def test_pinched_edge_rejected():
+    # two closed fans of three tetrahedra around the edge (0, 1) that share
+    # no triangle: every triangle has at most two cofaces, but the star of
+    # the edge splits into two cycles
+    cells = [
+        (0, 1, 2, 3), (0, 1, 3, 4), (0, 1, 4, 2),
+        (0, 1, 5, 6), (0, 1, 6, 7), (0, 1, 7, 5),
+    ]
+    with pytest.raises(BrokenCycle):
+        build_complex(3, cells)
+
+
+MOBIUS = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
+
+
+def test_mobius_strip_is_not_orientable():
+    c = build_complex(2, MOBIUS)
+    assert not c.orientable
+    assert c.orientation is None
+    with pytest.raises(InconsistentOrientation):
+        build_complex(2, MOBIUS, require_orientation=True)
+
+
+@pytest.mark.parametrize("name", ["ico", "cell5", "simplex5_boundary", "grid2", "grid3"])
+def test_orientation_cancels_on_interior_ridges(name, request):
+    c = request.getfixturevalue(name).complex
+    d = c.dim
+    assert c.orientable
+    assert set(np.unique(c.orientation)) <= {-1, 1}
+    flux = c.boundary_matrix(d) @ c.orientation
+    assert not flux[~c.is_boundary[d - 1]].any()
+    assert (np.abs(flux[c.is_boundary[d - 1]]) == 1).all()
+
+
+@pytest.mark.parametrize("name", ["ico", "cell5", "simplex5_boundary", "grid2", "grid3"])
+def test_hinge_stars_are_chains_or_cycles(name, request):
+    c = request.getfixturevalue(name).complex
+    d = c.dim
+    hinges = c.hinges()
+    assert [h.simplex for h in hinges] == [SimplexId(d - 2, i) for i in range(len(hinges))]
+    for h in hinges:
+        hv = set(c.simplex(h.simplex))
+        star = [set(c.simplex(t)) for t in h.star]
+        assert sorted(h.star) == c.cofaces(h.simplex, d)
+        assert h.is_boundary == bool(c.is_boundary[d - 2][h.simplex.index])
+        links = list(zip(star, star[1:]))
+        if not h.is_boundary:
+            links.append((star[-1], star[0]))
+        for a, b in links:
+            shared = a & b
+            assert len(shared) == d and hv <= shared
+            assert not c.is_boundary[d - 1][c.id_of(shared).index]
+
+
+def test_messages_name_plain_integers():
+    bad = [
+        (DuplicateCell, lambda: build_complex(2, np.array([(0, 1, 2), (2, 1, 0)]))),
+        (NonManifold, lambda: build_complex(2, np.array([(0, 1, 2), (0, 1, 3), (0, 1, 4)]))),
+        (BrokenCycle, lambda: build_complex(2, np.array([(0, 1, 2), (0, 3, 4)]))),
+        (
+            DegenerateSimplex,
+            lambda: MetricComplex(build_complex(2, np.array([(0, 1, 2)])), [1.0, 1.0, 4.0]),
+        ),
+    ]
+    for kind, make in bad:
+        with pytest.raises(kind) as err:
+            make()
+        assert "np.int64" not in str(err.value) and "(0," in str(err.value)
+
+
 def test_hinges_icosahedron(ico):
     hinges = ico.complex.hinges()
     assert len(hinges) == 12
@@ -123,7 +196,8 @@ def test_hinges_open_chain(grid2):
 
 def test_orientability():
     c = build_complex(2, TWO_TRIANGLES, require_orientation=True)
-    assert c is not None
+    # both boundaries carry +(1, 2), so the two cells take opposite signs
+    assert c.orientation.tolist() == [1, -1]
     # the 5-cell boundary is an orientable closed 3-manifold
     cells = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
     build_complex(3, cells, require_orientation=True)

@@ -59,3 +59,15 @@ def test_corrupted_dual_volume_fails_curvature_checks():
     results = curvature_checks(m)
     failed = {r.name for r in results if not r.passed}
     assert "action conservation across lattices" in failed
+
+
+def test_projection_law_holds_and_catches_a_corrupted_facet(cell5, grid3, perturbed_grid):
+    for m in (cell5, grid3, perturbed_grid):
+        law = {r.name: r for r in curvature_checks(m)}["facet projection law"]
+        assert law.passed and law.residual < 1e-13
+    # facet volumes and dihedral angles are computed independently, so a
+    # wrong facet volume breaks the law in the cells around that facet
+    m = gen_boundary_of_simplex(4)
+    m.volumes[2][3] *= 1.0 + 1e-9
+    law = {r.name: r for r in curvature_checks(m)}["facet projection law"]
+    assert not law.passed
