@@ -4,8 +4,11 @@ As in PyDEC's ``simplicial_complex`` (Bell & Hirani, ACM TOMS 2012),
 ``simplices[k]`` holds the k-simplexes as sorted vertex rows in
 lexicographic order, giving each a dense, stable (dimension, index) id, and
 ``facets[k][i, j]`` indexes the face of k-simplex i opposite its j-th
-vertex, which picks up the boundary sign (-1)**j.  Tuple views, ordered
-hinge stars and the orientation are built from these on first use.
+vertex, which picks up the boundary sign (-1)**j.  The facet table with a
+weight per slot is an incidence operator: :meth:`SimplicialComplex.scatter`
+applies it and :meth:`SimplicialComplex.gather` its transpose, so no
+matrix is ever built.  Tuple views, ordered hinge stars and the
+orientation are built from these on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (
     BrokenCycle,
@@ -93,8 +95,8 @@ class SimplicialComplex:
     Instances are built with :func:`build_complex` and are immutable in
     practice.  ``simplices``, ``facets`` and ``is_boundary`` are arrays
     set at construction; the face index tables (:meth:`edge_ids`,
-    :attr:`top_hinges`), the boundary matrices, the tuple views, the
-    ordered hinge stars and the orientation are built once, on first use.
+    :attr:`top_hinges`), the tuple views, the ordered hinge stars and the
+    orientation are built once, on first use.
     """
 
     def __init__(self, dim: int, simplices: list[np.ndarray], facets: list[np.ndarray | None]):
@@ -103,7 +105,6 @@ class SimplicialComplex:
         self.facets = facets
         self._hinges: list[Hinge] | None = None
         self._edge_ids: dict[int, np.ndarray] = {}
-        self._boundary: dict[int, sparse.csr_array] = {}
         self.is_boundary = self._find_boundary()
 
     def _find_boundary(self) -> list[np.ndarray]:
@@ -159,26 +160,34 @@ class SimplicialComplex:
         hits = np.isin(self.simplices[k], self.simplices[s.dim][s.index]).sum(axis=1)
         return [SimplexId(k, int(i)) for i in np.flatnonzero(hits == s.dim + 1)]
 
-    def boundary_matrix(self, k: int) -> sparse.csr_array:
-        """Signed incidence of k-simplexes onto their (k-1)-faces.
+    def scatter(self, k: int, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Apply the incidence operator of ``facets[k]``: entry f of the
+        result sums weights[s, j] x[s] over the k-simplexes s whose j-th
+        facet is f.
 
-        Entry [f, s] is (-1)**j when f is the face of s opposite its j-th
-        vertex.  Matrices compose to zero over the integers.  Each is
-        built once, on first use, and its entries are read-only.
+        The default weights, the boundary signs (-1)**j, make this the
+        boundary B_k; :class:`~pfcurv.geometry.MetricComplex` passes its
+        elevations for the chain step W_k.  Integer input with integer
+        weights stays integer.
         """
+        table, weights = self._operator(k, weights)
+        vals = np.asarray(x)[:, None] * weights
+        out = np.zeros(self.n_simplices(k - 1), dtype=vals.dtype)
+        np.add.at(out, table.ravel(), vals.ravel())
+        return out
+
+    def gather(self, k: int, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Apply the transpose of :meth:`scatter`: entry s of the result
+        sums weights[s, j] y[f] over the facets f of the k-simplex s."""
+        table, weights = self._operator(k, weights)
+        return (np.asarray(y)[table] * weights).sum(axis=1)
+
+    def _operator(self, k: int, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The facet table of the k-simplexes and its slot weights, by
+        default the boundary signs."""
         if not 1 <= k <= self.dim:
-            raise ValueError(f"no boundary matrix for k={k}")
-        B = self._boundary.get(k)
-        if B is None:
-            n = self.n_simplices(k)
-            signs = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), n)
-            B = sparse.csr_array(
-                (signs, (self.facets[k].ravel(), np.repeat(np.arange(n), k + 1))),
-                shape=(self.n_simplices(k - 1), n),
-            )
-            B.data.flags.writeable = False
-            self._boundary[k] = B
-        return B
+            raise ValueError(f"no facet table for k={k} in dim {self.dim}")
+        return self.facets[k], (-1) ** np.arange(k + 1) if weights is None else weights
 
     # -- face index tables -----------------------------------------------
 

@@ -111,20 +111,21 @@ def _sectionals(m: MetricComplex) -> np.ndarray:
 
 def _hybrid_average(m: MetricComplex, kp: int, hinges_of: np.ndarray, factor: float) -> np.ndarray:
     """factor times the average of interior hinge sectional curvatures
-    over each kp-simplex, weighted by shared hybrid volumes V_{h, s}.
+    over each kp-simplex, weighted by shared hybrid volumes
+    V_{h, s} = D_{d-2}[h] C(d-2, kp)[h, s] U_kp[s] / d!.
 
     ``hinges_of`` lists the hinges of every kp-simplex.  A simplex is nan
     when it is on the boundary, when its weights sum to zero, or when one
     of its interior hinges has zero dual area; that last test reads the
-    incidence table, because a zero elevation drops a hinge from the
-    operator's stored entries.
+    incidence table, because a hinge whose shared volume V_{h, s} is zero
+    leaves no trace in the weighted sums.
     """
     d = m.dim
     interior = ~m.complex.is_boundary[d - 2]
-    V = m.shared_hybrid_volumes(d - 2, kp).T
+    up = m._up[kp] / math.factorial(d)
     sec = _sectionals(m)
-    num = V @ np.where(np.isnan(sec), 0.0, sec)
-    den = V @ interior.astype(np.float64)
+    num = up * m.chain_apply_t(d - 2, kp, m._down[d - 2] * np.where(np.isnan(sec), 0.0, sec))
+    den = up * m.chain_apply_t(d - 2, kp, m._down[d - 2] * interior)
     bad = (interior & (m.dual_volumes[d - 2] == 0))[hinges_of].any(axis=1)
     return _ratio(num, den, ~m.complex.is_boundary[kp] & ~bad & (den != 0), factor)
 
@@ -133,10 +134,13 @@ def _restricted_average(m: MetricComplex, p: int, factor: float) -> np.ndarray:
     """factor times the ratio of the restricted-measure averages of
     deficit and dual area over the hinges containing each interior
     p-simplex; nan on the boundary and where the dual areas average to
-    zero."""
-    A = m.restricted_measures(p, m.dim - 2)
-    den = A @ m.dual_volumes[m.dim - 2]
-    return _ratio(A @ _deficits(m), den, ~m.complex.is_boundary[p] & (den != 0), factor)
+    zero.  The restricted measure of a p-face s inside a hinge h is
+    |s| C(p, d-2)[s, h] / ((d-2-p)! C(d-2, p))."""
+    q = m.dim - 2
+    scale = m.volumes[p] / (math.factorial(q - p) * math.comb(q, p))
+    den = scale * m.chain_apply(p, q, m.dual_volumes[q])
+    num = scale * m.chain_apply(p, q, _deficits(m))
+    return _ratio(num, den, ~m.complex.is_boundary[p] & (den != 0), factor)
 
 
 # Per-element columns, each computed on first use and cached on the

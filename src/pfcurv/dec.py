@@ -123,11 +123,10 @@ def exterior_derivative(w: Cochain) -> Cochain:
     d = m.dim
     if w.degree >= d:
         raise ValueError("exterior derivative of a top-degree cochain")
+    c = m.complex
     if w.lattice == SIMPLICIAL:
-        B = m.complex.boundary_matrix(w.degree + 1)
-        return Cochain(m, SIMPLICIAL, w.degree + 1, B.T @ w.values)
-    B = m.complex.boundary_matrix(w.partner_dim)
-    return Cochain(m, DUAL, w.degree + 1, B @ w.values)
+        return Cochain(m, SIMPLICIAL, w.degree + 1, c.gather(w.degree + 1, w.values))
+    return Cochain(m, DUAL, w.degree + 1, c.scatter(w.partner_dim, w.values))
 
 
 def _adjoint_weights(w: Cochain, k: int, *, inverted: bool = False) -> np.ndarray:
@@ -163,11 +162,10 @@ def coderivative(w: Cochain) -> Cochain:
     w_in = _adjoint_weights(w, w.degree)
     w_out = _adjoint_weights(w, w.degree - 1, inverted=True)
     vals = np.asarray(w.values, dtype=np.float64) * w_in
+    c = m.complex
     if w.lattice == SIMPLICIAL:
-        B = m.complex.boundary_matrix(w.degree)
-        return Cochain(m, SIMPLICIAL, w.degree - 1, (B @ vals) / w_out)
-    B = m.complex.boundary_matrix(w.partner_dim + 1)
-    return Cochain(m, DUAL, w.degree - 1, (B.T @ vals) / w_out)
+        return Cochain(m, SIMPLICIAL, w.degree - 1, c.scatter(w.degree, vals) / w_out)
+    return Cochain(m, DUAL, w.degree - 1, c.gather(w.partner_dim + 1, vals) / w_out)
 
 
 def laplacian(w: Cochain) -> Cochain:
@@ -214,16 +212,18 @@ def transfer_density(w: Cochain, target_lattice: str, target_degree: int = 1) ->
             f"transfer from ({w.lattice}, {w.degree}) to "
             f"({target_lattice}, {target_degree}) is not supported"
         )
+    # V_{t s} = D_1[t] C(1, d-1)[t, s] U_{d-1}[s] / d! for an edge t and
+    # a face s
     dens_in = w.densities()
-    V = m.shared_hybrid_volumes(1, d - 1)
+    down, up = m._down[1], m._up[d - 1] / math.factorial(d)
     if target_lattice == SIMPLICIAL:
         # dual edges (faces of dim d-1) onto simplicial edges
         V_out = m.volumes[1] * m.dual_volumes[1] / d
-        acc = V @ dens_in
+        acc = down * m.chain_apply(1, d - 1, up * dens_in)
         meas, what = m.volumes[1], "edge"
     else:
         V_out = m.volumes[d - 1] * m.dual_volumes[d - 1] / d
-        acc = V.T @ dens_in
+        acc = up * m.chain_apply_t(1, d - 1, down * dens_in)
         meas, what = m.dual_volumes[d - 1], "face"
     zero = np.nonzero(V_out == 0)[0]
     if zero.size:

@@ -24,10 +24,8 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .complex import SimplexId, SimplicialComplex
 from .errors import (
@@ -39,24 +37,6 @@ from .errors import (
 
 DEGENERACY_TOL = 1e-12
 ZERO_MEASURE_TOL = 1e-300
-
-
-@dataclass(frozen=True)
-class HybridVolumeTable:
-    """Per-dimension element measures and hybrid volumes.
-
-    ``measures[k]`` holds |s| for every k-simplex, ``dual_measures[k]``
-    the signed dual volume |*s|, and ``volumes[k]`` the hybrid volume
-    V_s = |s| |*s| / C(d, k).  For every k the volumes sum to the total
-    volume of the complex.
-    """
-
-    measures: list[np.ndarray]
-    dual_measures: list[np.ndarray]
-    volumes: list[np.ndarray]
-
-    def total(self, k: int) -> float:
-        return float(self.volumes[k].sum())
 
 
 class MetricComplex:
@@ -71,9 +51,9 @@ class MetricComplex:
 
     All per-simplex caches (volumes, circumcenters, elevations, dual
     volumes) are computed once at construction and are immutable.  The
-    dihedral angles and their per-hinge sums, the elevation and chain
-    operators and the arrays kept with :meth:`cached` are computed on
-    first use and cached; new lengths need a new instance.
+    dihedral angles, their per-hinge sums and the arrays kept with
+    :meth:`cached` are computed on first use and cached; new lengths need
+    a new instance.
     Construction raises :class:`DegenerateSimplex` if any simplex of any
     dimension fails to have positive volume, and emits
     :class:`NonWellCenteredWarning` when some net dual volume is zero or
@@ -172,10 +152,7 @@ class MetricComplex:
         U: list[np.ndarray] = [np.zeros(0)] * (d + 1)
         U[d] = np.ones(c.n_simplices(d))
         for k in range(d - 1, -1, -1):
-            u = np.zeros(c.n_simplices(k))
-            contrib = self._elev[k + 1] * U[k + 1][:, None]
-            np.add.at(u, c.facets[k + 1].ravel(), contrib.ravel())
-            U[k] = u
+            U[k] = c.scatter(k + 1, U[k + 1], self._elev[k + 1])
         self._up = U
         self.dual_volumes: list[np.ndarray] = [
             U[k] / math.factorial(d - k) for k in range(d)
@@ -186,7 +163,7 @@ class MetricComplex:
         # numerically D[k] = k! |s|, which the flag-sum route relies on
         Dn: list[np.ndarray] = [np.ones(n0)]
         for k in range(1, d + 1):
-            Dn.append((Dn[k - 1][c.facets[k]] * self._elev[k]).sum(axis=1))
+            Dn.append(c.gather(k, Dn[k - 1], self._elev[k]))
         self._down = Dn
 
         flat = np.concatenate([self.dual_volumes[k] for k in range(d)])
@@ -196,7 +173,7 @@ class MetricComplex:
                 f"{n_bad} dual volumes are zero or negative; "
                 "the mesh is not well-centered",
                 NonWellCenteredWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @staticmethod
@@ -294,51 +271,49 @@ class MetricComplex:
         value = self._cache.get(key)
         if value is None:
             value = build(self)
-            (value.data if sparse.issparse(value) else value).flags.writeable = False
+            value.flags.writeable = False
             self._cache[key] = value
         return value
 
-    def chain_operator(self, k: int, kp: int) -> sparse.csr_array:
-        """C(k, k') = W_{k+1} ... W_{k'}, shape (n_k, n_k').
-
-        W_j = ``chain_operator(j - 1, j)`` holds the elevation of every
-        facet s of every j-simplex t at [s, t].  Entry (s, s') of the
-        product sums the product of elevations over every ascending chain
-        of simplexes from s up to s'; it is 0 unless s is a face of s'.
-        C(k, k) is the identity.
-        """
+    def _chain_dims(self, k: int, kp: int) -> range:
         if not 0 <= k <= kp <= self.dim:
             raise ValueError(f"no chain operator from dimension {k} to {kp}")
+        return range(k + 1, kp + 1)
 
-        def build(m):
-            c = m.complex
-            if kp == k:
-                return sparse.eye_array(c.n_simplices(k), format="csr")
-            if kp > k + 1:
-                return m.chain_operator(k, k + 1) @ m.chain_operator(k + 1, kp)
-            n = c.n_simplices(kp)
-            return sparse.csr_array(
-                (m._elev[kp].ravel(), (c.facets[kp].ravel(), np.repeat(np.arange(n), kp + 1))),
-                shape=(c.n_simplices(k), n),
-            )
+    def chain_apply(self, k: int, kp: int, x: np.ndarray) -> np.ndarray:
+        """C(k, k') x for values x on the k'-simplexes; the result lives on
+        the k-simplexes.
 
-        return self.cached(("chain", k, kp), build)
+        C(k, k') = W_{k+1} ... W_{k'}, where W_j scatters each j-simplex
+        onto its facets weighted by their elevations.  Entry (s, s') of C
+        sums the product of elevations over every ascending chain of
+        simplexes from s up to s'; it is 0 unless s is a face of s'.
+        C(k, k) is the identity.
+        """
+        for j in reversed(self._chain_dims(k, kp)):
+            x = self.complex.scatter(j, x, self._elev[j])
+        return x
 
-    def shared_hybrid_volumes(self, k: int, kp: int) -> sparse.csr_array:
-        """Every :meth:`shared_hybrid_volume` V_{s s'} of a k-simplex s and
-        a k'-simplex s' as one (n_k, n_k') matrix,
-        diag(D_k) C(k, k') diag(U_k') / d!; its diagonal for k' = k holds
-        :meth:`hybrid_volume_from_flags`."""
-        C = self.chain_operator(k, kp)
-        return (
-            sparse.diags_array(self._down[k])
-            @ C
-            @ sparse.diags_array(self._up[kp] / math.factorial(self.dim))
-        )
+    def chain_apply_t(self, k: int, kp: int, y: np.ndarray) -> np.ndarray:
+        """C(k, k')^T y for values y on the k-simplexes; the result lives on
+        the k'-simplexes."""
+        for j in self._chain_dims(k, kp):
+            y = self.complex.gather(j, y, self._elev[j])
+        return y
+
+    def _chain_entry(self, s: SimplexId, sp: SimplexId) -> float:
+        """Entry (s, sp) of C(dim s, dim sp), summed over the chains that
+        descend from ``sp`` through its facet rows and end at ``s``."""
+        rows, w = np.array([sp.index]), np.ones(1)
+        for j in range(sp.dim, s.dim, -1):
+            w = (w[:, None] * self._elev[j][rows]).ravel()
+            rows = self.complex.facets[j][rows].ravel()
+        return float(w[rows == s.index].sum())
 
     def shared_hybrid_volume(self, s: SimplexId, sp: SimplexId) -> float:
         """Signed volume V_{s sp} shared by the hybrid cells of two
-        incident simplexes: the sum over flags through both."""
+        incident simplexes: the sum over flags through both,
+        D_k[s] C(k, k')[s, sp] U_k'[sp] / d!."""
         if s.dim > sp.dim:
             s, sp = sp, s
         c = self.complex
@@ -346,16 +321,10 @@ class MetricComplex:
             raise NotIncident(f"{s} and {sp} are not incident")
         return float(
             self._down[s.dim][s.index]
-            * self.chain_operator(s.dim, sp.dim)[s.index, sp.index]
+            * self._chain_entry(s, sp)
             * self._up[sp.dim][sp.index]
             / math.factorial(self.dim)
         )
-
-    def restricted_measures(self, p: int, q: int) -> sparse.csr_array:
-        """Every :meth:`restricted_measure` of a p-face (rows) inside a
-        q-simplex (columns) as one (n_p, n_q) matrix."""
-        scale = self.volumes[p] / (math.factorial(q - p) * math.comb(q, p))
-        return sparse.diags_array(scale) @ self.chain_operator(p, q)
 
     def restricted_measure(self, h: SimplexId, s: SimplexId) -> float:
         """Hybrid measure of ``s`` inside ``h`` treated as a complex of its
@@ -364,7 +333,7 @@ class MetricComplex:
         if s.dim > h.dim or not set(c.simplex(s)) <= set(c.simplex(h)):
             raise NotIncident(f"{s} is not a face of {h}")
         q, p = h.dim, s.dim
-        m = self.chain_operator(p, q)[s.index, h.index]
+        m = self._chain_entry(s, h)
         return float(
             self.simplex_volume(s) * m / (math.factorial(q - p) * math.comb(q, p))
         )
@@ -381,17 +350,6 @@ class MetricComplex:
         if h.dim != self.dim - 2 or edge.dim != 1:
             raise ValueError("expected a hinge and one of its edges")
         return self.restricted_measure(h, edge)
-
-    def hybrid_table(self) -> HybridVolumeTable:
-        d = self.dim
-        return HybridVolumeTable(
-            measures=[self.volumes[k].copy() for k in range(d + 1)],
-            dual_measures=[self.dual_volumes[k].copy() for k in range(d + 1)],
-            volumes=[
-                self.volumes[k] * self.dual_volumes[k] / math.comb(d, k)
-                for k in range(d + 1)
-            ],
-        )
 
     def moment_arm(self, s: SimplexId, sp: SimplexId) -> float:
         """Moment arm magnitude between ``s`` and the dual element of

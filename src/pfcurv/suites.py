@@ -50,7 +50,7 @@ def volume_checks(m: MetricComplex) -> list[CheckResult]:
         out.append(
             CheckResult(f"volume partition k={k}", abs(hyb.sum() - total) / total, 1e-9)
         )
-        flags = m.shared_hybrid_volumes(k, k).diagonal()
+        flags = m._down[k] * m._up[k] / math.factorial(d)
         out.append(
             CheckResult(
                 f"hybrid two-path k={k}",
@@ -66,14 +66,15 @@ def volume_checks(m: MetricComplex) -> list[CheckResult]:
         worst = max(worst, _rel(diff, float(m.circumradius_sq[k].max())))
     out.append(CheckResult("elevation pythagoras", worst, 1e-10))
     if d >= 3:
-        # restricted hinge areas: each hinge's column sums to its area, and
-        # each edge's row, weighted by dual areas, rebuilds its hybrid volume
-        A = m.restricted_measures(1, d - 2)
+        # restricted hinge areas |e| C(1, d-2)[e, h] / (d-2)!: the shares of
+        # the edges of a hinge sum to its area, and each edge's shares,
+        # weighted by dual areas, rebuild its hybrid volume
+        scale = m.volumes[1] / math.factorial(d - 2)
         area = m.volumes[d - 2]
-        worst = float(np.max(np.abs(A.sum(axis=0) - area) / area))
+        worst = float(np.max(np.abs(m.chain_apply_t(1, d - 2, scale) - area) / area))
         out.append(CheckResult("hinge area partition", worst, 1e-12))
         hyb = m.volumes[1] * m.dual_volumes[1] / d
-        acc = A @ m.dual_volumes[d - 2] / math.comb(d, 2)
+        acc = scale * m.chain_apply(1, d - 2, m.dual_volumes[d - 2]) / math.comb(d, 2)
         worst = _rel(hyb - acc, float(np.abs(hyb).max()))
         out.append(CheckResult("edge volume decomposition", worst, 1e-10))
     return out

@@ -1,8 +1,9 @@
 """Reference computations.
 
 Apart from :func:`dihedral_qr`, the per-pair length-only angle kept as
-the reference for the batched dihedral table, and the per-element
-chain-sum loops kept as the reference for the sparse elevation
+the reference for the batched dihedral table, :func:`boundary_matrix`,
+the dense signed incidence built from vertex tuples, and the per-element
+chain-sum loops kept as the reference for the matrix-free elevation
 operators, everything here works on an explicit vertex embedding and
 never touches the length-only pipeline: volumes come from Gram
 determinants of edge vectors, circumcenters from the normal equations in
@@ -169,10 +170,21 @@ def random_delaunay(dim: int, n_points: int, seed: int):
     raise RuntimeError(f"no acceptable draw for seed {seed}")
 
 
+def boundary_matrix(c, k):
+    """Dense signed incidence B_k of a complex: entry [f, s] is (-1)**j when
+    the (k-1)-simplex f is s without its j-th vertex.  Built from the vertex
+    tuples and their index, not from the facet tables."""
+    B = np.zeros((c.n_simplices(k - 1), c.n_simplices(k)), dtype=np.int64)
+    for i, s in enumerate(c.simplex_tuples[k]):
+        for j in range(k + 1):
+            B[c.index[k - 1][s[:j] + s[j + 1 :]], i] = (-1) ** j
+    return B
+
+
 # -- per-element chain sums ------------------------------------------------
 #
 # The recursive flag sums and the per-element Ricci, scalar and transfer
-# loops the sparse operators replaced.  Each weight is summed one chain
+# loops the batched chain applications replaced.  Each weight is summed one chain
 # at a time, with D_k = k! |s| and U_k = (d-k)! |*s| for the two ends.
 
 

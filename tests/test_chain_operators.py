@@ -1,5 +1,6 @@
-"""The sparse elevation operators and the batched curvature columns built
-on them, against the per-element chain-sum loops in ``oracles``."""
+"""The matrix-free elevation chain operators, the per-pair hybrid volumes
+and the batched curvature columns built on them, against the per-element
+chain-sum loops in ``oracles``."""
 
 import itertools
 import warnings
@@ -59,17 +60,20 @@ def test_chain_operator_entries_match_recursion(mesh):
     c = mesh.complex
     d = c.dim
     ref = oracles.ChainSums(mesh)
-    for k, kp in itertools.combinations(range(d + 1), 2):
-        want = np.zeros((c.n_simplices(k), c.n_simplices(kp)))
+    rng = np.random.default_rng(3)
+    for k, kp in itertools.combinations_with_replacement(range(d + 1), 2):
+        C = np.zeros((c.n_simplices(k), c.n_simplices(kp)))
         for j in range(c.n_simplices(kp)):
             for i in _faces_of(c, k, kp, j):
-                want[i, j] = ref.chain(k, i, kp, j)
-        got = mesh.chain_operator(k, kp).toarray()
-        # entries that cancel to roundoff are compared on the scale of
-        # their own operator
-        np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * np.abs(want).max())
-    for k in range(d + 1):
-        assert (mesh.chain_operator(k, k).toarray() == np.eye(c.n_simplices(k))).all()
+                C[i, j] = ref.chain(k, i, kp, j)
+        x = rng.standard_normal(c.n_simplices(kp))
+        y = rng.standard_normal(c.n_simplices(k))
+        Cx, Cty = mesh.chain_apply(k, kp, x), mesh.chain_apply_t(k, kp, y)
+        # sums that cancel to roundoff are compared on the scale of the
+        # magnitudes they sum
+        np.testing.assert_allclose(Cx, C @ x, rtol=RTOL, atol=RTOL * (np.abs(C) @ np.abs(x)).max())
+        np.testing.assert_allclose(Cty, C.T @ y, rtol=RTOL, atol=RTOL * (np.abs(C).T @ np.abs(y)).max())
+        assert y @ Cx == pytest.approx(Cty @ x, rel=RTOL, abs=RTOL * np.abs(y) @ np.abs(C) @ np.abs(x))
 
 
 def test_shared_and_restricted_volumes_match_recursion(mesh):
@@ -77,25 +81,17 @@ def test_shared_and_restricted_volumes_match_recursion(mesh):
     d = c.dim
     ref = oracles.ChainSums(mesh)
     for k, kp in itertools.combinations_with_replacement(range(d + 1), 2):
-        V = mesh.shared_hybrid_volumes(k, kp).toarray()
-        A = mesh.restricted_measures(k, kp).toarray()
+        pairs = [
+            (SimplexId(k, i), SimplexId(kp, j))
+            for j in range(c.n_simplices(kp))
+            for i in _faces_of(c, k, kp, j)
+        ]
+        V = np.array([ref.shared(s, big) for s, big in pairs])
+        A = np.array([ref.restricted(big, s) for s, big in pairs])
         atol_v, atol_a = RTOL * np.abs(V).max(), RTOL * np.abs(A).max()
-        for j in range(c.n_simplices(kp)):
-            big = SimplexId(kp, j)
-            for i in _faces_of(c, k, kp, j):
-                s = SimplexId(k, i)
-                assert V[i, j] == pytest.approx(ref.shared(s, big), rel=RTOL, abs=atol_v)
-                assert A[i, j] == pytest.approx(ref.restricted(big, s), rel=RTOL, abs=atol_a)
-    # the per-pair methods index the same operators
-    for k, kp in ((0, 1), (d - 2, d), (1, d - 1)):
-        V = mesh.shared_hybrid_volumes(k, kp)
-        A = mesh.restricted_measures(k, kp)
-        for j in range(0, c.n_simplices(kp), 7):
-            big = SimplexId(kp, j)
-            for i in _faces_of(c, k, kp, j):
-                s = SimplexId(k, i)
-                assert mesh.shared_hybrid_volume(s, big) == pytest.approx(V[i, j], rel=1e-15)
-                assert mesh.restricted_measure(big, s) == pytest.approx(A[i, j], rel=1e-15)
+        for (s, big), v, a in zip(pairs, V, A):
+            assert mesh.shared_hybrid_volume(s, big) == pytest.approx(v, rel=RTOL, abs=atol_v)
+            assert mesh.restricted_measure(big, s) == pytest.approx(a, rel=RTOL, abs=atol_a)
 
 
 def _oracle_column(fn, n):
@@ -202,20 +198,16 @@ def test_transfer_density_matches_per_element_loop(mesh):
 
 def test_columns_and_operators_are_cached_read_only(mesh):
     m = _fresh(mesh)
-    assert m._cache == {}  # construction builds no operator
+    assert m._cache == {}  # construction builds no column
     a = curvature_report(m)
     b = curvature_report(m)
     assert a.vertex_scalar is b.vertex_scalar
     assert not a.vertex_scalar.flags.writeable
-    W = m.chain_operator(m.dim - 1, m.dim)
-    assert W is m.chain_operator(m.dim - 1, m.dim)
-    assert not W.data.flags.writeable
-    B = m.complex.boundary_matrix(m.dim)
-    assert B is m.complex.boundary_matrix(m.dim)
-    assert not B.data.flags.writeable
 
 
 def test_chain_operator_rejects_bad_dimensions(cell5):
     for k, kp in ((2, 1), (-1, 2), (0, 4)):
         with pytest.raises(ValueError):
-            cell5.chain_operator(k, kp)
+            cell5.chain_apply(k, kp, np.ones(1))
+        with pytest.raises(ValueError):
+            cell5.chain_apply_t(k, kp, np.ones(1))

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pfcurv
 from pfcurv import Cochain, SIMPLICIAL, cli, meshfile
 from pfcurv.suites import CheckResult
 
@@ -399,3 +403,47 @@ def test_seventeen_digit_format():
     assert cli._g17(math.pi) == "3.1415926535897931"
     assert cli._g17(100.0) == "100"
     assert cli._g17(float(np.float64(1.0) / 3.0)) == "0.33333333333333331"
+
+
+# Runs every subcommand in a fresh interpreter where importing scipy fails;
+# writes the exit codes to codes.json in the directory given as argv[1].
+NO_SCIPY = """
+import json, sys, warnings
+sys.modules["scipy"] = None
+import pfcurv, pfcurv.cli
+assert [k for k in sys.modules if k.split(".")[0] == "scipy"] == ["scipy"]
+warnings.simplefilter("ignore")
+out = sys.argv[1]
+codes = {}
+def run(*argv):
+    codes[" ".join(argv)] = pfcurv.cli.main(list(argv))
+run("gen", "flat-grid", "--dim", "3", "-o", f"{out}/grid3.json")
+run("gen", "icosphere", "--level", "2", "-o", f"{out}/ico2.json")
+run("gen", "flat-grid", "--dim", "4", "-o", f"{out}/grid4.json")
+targets = ["hinges", "dual-edges", "edges", "vertices", "dual-vertices"]
+for name, ts in (("grid3", targets), ("ico2", ["hinges", "vertices", "dual-vertices"])):
+    f = f"{out}/{name}.json"
+    m = pfcurv.read_mesh(f)
+    w = pfcurv.Cochain(m, pfcurv.SIMPLICIAL, 0, [1.0] * m.complex.n_simplices(0))
+    pfcurv.write_cochain(f"{out}/{name}_v0.json", w)
+    run("info", f)
+    run("action", f)
+    run("volumes", f, "--dim", "0")
+    run("hodge", f, f"{out}/{name}_v0.json", "-o", f"{out}/{name}_star.json")
+    run("check", f, "--suite", "all")
+    for t in ts:
+        run("curvature", f, "--at", t, "-o", f"{out}/{name}_{t}.csv")
+json.dump(codes, open(f"{out}/codes.json", "w"))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(pfcurv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads((tmp_path / "codes.json").read_text())
+    assert len(codes) == 3 + 2 * 5 + 5 + 3
+    assert all(rc == 0 for rc in codes.values()), codes
