@@ -1,14 +1,15 @@
 """Metric geometry of a simplicial complex from squared edge lengths.
 
 All geometric quantities are functions of the squared edge lengths alone.
-Simplexes are embedded locally through the Gram matrix
+Each k-simplex is described by its Gram matrix
 
-    G_ij = (l2[0,i] + l2[0,j] - l2[i,j]) / 2
+    G_ij = (l2[0,i] + l2[0,j] - l2[i,j]) / 2,    i, j = 1..k,
 
-whose Cholesky factor gives coordinates with vertex 0 at the origin.
-Circumcenters are solved in barycentric form from the bordered
-Cayley-Menger system, so every derived quantity (elevations, dual cells,
-hybrid volumes) is intrinsic and needs no global embedding.
+the inner products of its edge vectors from vertex 0.  One batched,
+scale-free L D L^T factor of G per simplex (:func:`simplex_gram`) gives
+the volume, the circumcenter, the elevations, the dihedral angles and
+local coordinates, so every derived quantity is intrinsic and needs no
+global embedding.
 
 The dual complex is circumcentric: the dual cell of a k-simplex s is made
 of the simplexes spanned by the circumcenters along ascending chains
@@ -23,7 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +41,84 @@ from .errors import (
 
 DEGENERACY_TOL = 1e-12
 ZERO_MEASURE_TOL = 1e-300
+
+
+class SimplexGram(NamedTuple):
+    """Per-simplex results of :func:`simplex_gram` for n k-simplexes."""
+
+    L: np.ndarray  # (n, k, k) unit lower triangular, G / s = L diag(p) L^T
+    p: np.ndarray  # (n, k) pivots
+    exp: np.ndarray  # (n,) s = 2**exp
+    degenerate: np.ndarray  # (n,) vol^2 <= DEGENERACY_TOL * (max l2)^k, or NaN
+    volume: np.ndarray  # (n,) inf, 0 or subnormal where float64 cannot hold it
+    barycentric: np.ndarray  # (n, k + 1) of the circumcenter
+    circumradius_sq: np.ndarray  # (n,)
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """X with L X = B (L^T X = B with ``transpose``) for unit lower triangular L (n, k, k)."""
+    if transpose:  # L^T is L with its index order reversed
+        return _solve_lower(L.swapaxes(1, 2)[:, ::-1, ::-1], B[:, ::-1])[:, ::-1]
+    X = np.array(B, dtype=np.float64)
+    for i in range(1, L.shape[1]):
+        X[:, i] -= np.einsum("nj,nj...->n...", L[:, i, :i], X[:, :i])
+    return X
+
+
+def simplex_gram(pair_l2: np.ndarray, k: int) -> SimplexGram:
+    """Volumes, circumcenters and Gram factors of n k-simplexes from their
+    squared edge lengths ``pair_l2`` (n, C(k+1, 2)), pairs in
+    ``itertools.combinations`` order.  Never raises; degenerate simplexes
+    are flagged.
+
+    Each Gram matrix G is divided by s, the largest power of two not above
+    the simplex's largest squared length, so nothing over- or underflows
+    at any length scale, and factored as L diag(p) L^T one column at a
+    time.  s is a power of two and the factor is square-root-free (not
+    Cholesky) so that neither adds rounding of its own: exact answers,
+    such as circumcenters on a facet of a right-angled simplex, keep their
+    exact zeros.  Degenerate means vol^2 <= DEGENERACY_TOL * (max squared
+    length)^k, tested in units of s^k.  Pivot j is a ratio of the squared
+    volumes of the faces on vertices 0..j and 0..j-1, so once every
+    lower-dimensional face passes, prod(p) > 0 means all pivots are.
+    """
+    n = pair_l2.shape[0]
+    lmax = pair_l2.max(axis=1)
+    exp = np.frexp(lmax)[1] - 1
+    q = np.ldexp(pair_l2, -exp[:, None])
+    D2 = np.zeros((n, k + 1, k + 1))
+    for col, (a, b) in enumerate(itertools.combinations(range(k + 1), 2)):
+        D2[:, a, b] = D2[:, b, a] = q[:, col]
+    G = (D2[:, :1, 1:] + D2[:, 1:, :1] - D2[:, 1:, 1:]) / 2.0
+    L = np.zeros((n, k, k))
+    p = np.empty((n, k))
+    with np.errstate(all="ignore"):  # degenerate rows are flagged, not raised
+        for j in range(k):
+            v = G[:, j:, j] - np.einsum("nim,nm->ni", L[:, j:, :j], L[:, j, :j] * p[:, :j])
+            p[:, j] = v[:, 0]
+            L[:, j:, j] = v / v[:, :1]
+        vol_sq = p.prod(axis=1) / math.factorial(k) ** 2  # in units of s^k
+        degenerate = ~(vol_sq > DEGENERACY_TOL * np.ldexp(lmax, -exp) ** k)
+        # vol = sqrt(vol_sq * s^k), s^k applied as an exact power of two
+        ke = k * exp
+        volume = np.ldexp(np.sqrt(vol_sq * (1 + (ke & 1))), ke >> 1)
+        # with vertex 0 at the origin the circumcenter sum_i lam_i x_i
+        # solves G lam = diag(G) / 2; R^2 = lam . diag(G) / 2 = sum y^2 / p
+        y = _solve_lower(L, q[:, :k] / 2.0)
+        lam = _solve_lower(L, y / p, transpose=True)
+        r2 = np.ldexp((y * y / p).sum(axis=1), exp)
+    bary = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+    return SimplexGram(L, p, exp, degenerate, volume, bary, r2)
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by the calling function
+    names the first frame outside this package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class MetricComplex:
@@ -54,15 +136,14 @@ class MetricComplex:
     dihedral angles, their per-hinge sums and the arrays kept with
     :meth:`cached` are computed on first use and cached; new lengths need
     a new instance.
-    Construction raises :class:`DegenerateSimplex` if any simplex of any
-    dimension fails to have positive volume, and emits
+    Construction raises :class:`DegenerateSimplex` if a simplex has no
+    positive volume or one that float64 cannot hold, and emits
     :class:`NonWellCenteredWarning` when some net dual volume is zero or
     negative.
     """
 
     def __init__(self, complex: SimplicialComplex, edge_lengths_sq):
         self.complex = complex
-        d = complex.dim
         l2 = np.asarray(edge_lengths_sq, dtype=np.float64)
         if l2.shape != (complex.n_simplices(1),):
             raise ValueError(
@@ -81,71 +162,33 @@ class MetricComplex:
         c = self.complex
         d = c.dim
         n0 = c.n_simplices(0)
-        self._dist2: list[np.ndarray | None] = [None] * (d + 1)
         self.volumes: list[np.ndarray] = [np.ones(n0)]
         self.barycentric: list[np.ndarray] = [np.ones((n0, 1))]
         self.circumradius_sq: list[np.ndarray] = [np.zeros(n0)]
-        self._coords: list[np.ndarray] = [np.zeros((n0, 1, 0))]
+        self._gram: list[SimplexGram | None] = [None]
         self._elev: list[np.ndarray | None] = [None]
 
         for k in range(1, d + 1):
-            n = c.n_simplices(k)
-            D2 = np.zeros((n, k + 1, k + 1))
-            pair_l2 = self.edge_lengths_sq[c.edge_ids(k)]
-            for col, (p, q) in enumerate(itertools.combinations(range(k + 1), 2)):
-                D2[:, p, q] = D2[:, q, p] = pair_l2[:, col]
-            self._dist2[k] = D2
-
-            # bordered Cayley-Menger matrix: determinant gives the volume,
-            # the solve gives circumcenter barycentrics and circumradius
-            B = np.zeros((n, k + 2, k + 2))
-            B[:, 0, 1:] = 1.0
-            B[:, 1:, 0] = 1.0
-            B[:, 1:, 1:] = D2
-            det = np.linalg.det(B)
-            vol_sq = ((-1.0) ** (k + 1)) * det / (2.0**k * math.factorial(k) ** 2)
-            scale = D2.max(axis=(1, 2))
-            bad = vol_sq <= DEGENERACY_TOL * scale**k
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DegenerateSimplex(
-                    f"{k}-simplex {c.simplex(SimplexId(k, i))} has non-positive volume "
-                    f"(vol^2 = {vol_sq[i]:.3e})"
-                )
-            rhs = np.zeros((n, k + 2))
-            rhs[:, 0] = 1.0
-            sol = np.linalg.solve(B, rhs[..., None])[..., 0]
-            self.circumradius_sq.append(-sol[:, 0] / 2.0)
-            self.barycentric.append(sol[:, 1:])
-            self.volumes.append(np.sqrt(vol_sq))
-
-            # local embedding: Gram Cholesky, vertex 0 at the origin
-            G = (D2[:, :1, 1:] + D2[:, 1:, :1] - D2[:, 1:, 1:]) / 2.0
-            try:
-                L = np.linalg.cholesky(G)
-            except np.linalg.LinAlgError:
-                i = self._first_non_spd(G)
-                raise DegenerateSimplex(
-                    f"{k}-simplex {c.simplex(SimplexId(k, i))} has a non-positive-definite "
-                    "Gram matrix"
-                ) from None
-            coords = np.zeros((n, k + 1, k))
-            coords[:, 1:, :] = L
-            self._coords.append(coords)
-
-            # elevations over each facet, sign toward the opposite vertex
-            center = np.einsum("nj,njc->nc", self.barycentric[k], coords)
-            elev = np.empty((n, k + 1))
-            for j in range(k + 1):
-                keep = [i for i in range(k + 1) if i != j]
-                X = coords[:, keep, :]
-                bf = self.barycentric[k - 1][c.facets[k][:, j]]
-                cs = np.einsum("nj,njc->nc", bf, X)
-                e = center - cs
-                w = coords[:, j, :]
-                dot = ((w - cs) * e).sum(axis=1)
-                elev[:, j] = np.sign(dot) * np.linalg.norm(e, axis=1)
-            self._elev.append(elev)
+            g = simplex_gram(self.edge_lengths_sq[c.edge_ids(k)], k)
+            vol = g.volume
+            lost = ~(vol >= np.finfo(np.float64).tiny) | np.isinf(vol)
+            for bad, why in (
+                (g.degenerate, lambda i: "has non-positive volume "
+                 f"(vol^2 = {np.ldexp(g.p[i].prod() / math.factorial(k) ** 2, k * g.exp[i]):.3e})"),
+                (lost, lambda i: f"has a {k}-volume not representable in float64 "
+                 f"at squared-length scale {np.ldexp(1.0, g.exp[i]):.3e}"),
+            ):
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise DegenerateSimplex(f"{k}-simplex {c.simplex(SimplexId(k, i))} {why(i)}")
+            self.volumes.append(vol)
+            self.barycentric.append(g.barycentric)
+            self.circumradius_sq.append(g.circumradius_sq)
+            self._gram.append(g)
+            # signed distance from the circumcenter to facet j, whose own
+            # circumcenter is the foot: lam_j times the height k|t| / |F_j|
+            height = k * (vol[:, None] / self.volumes[k - 1][c.facets[k]])
+            self._elev.append(g.barycentric * height)
 
         # ascending chain factors: U[k][s] = sum over chains s < ... < top
         # of the product of elevations; |*s| = U[k][s] / (d-k)!
@@ -154,10 +197,7 @@ class MetricComplex:
         for k in range(d - 1, -1, -1):
             U[k] = c.scatter(k + 1, U[k + 1], self._elev[k + 1])
         self._up = U
-        self.dual_volumes: list[np.ndarray] = [
-            U[k] / math.factorial(d - k) for k in range(d)
-        ]
-        self.dual_volumes.append(np.ones(c.n_simplices(d)))
+        self.dual_volumes = [U[k] / math.factorial(d - k) for k in range(d + 1)]
 
         # descending chain factors: D[k][s] = sum over chains v < ... < s;
         # numerically D[k] = k! |s|, which the flag-sum route relies on
@@ -166,24 +206,14 @@ class MetricComplex:
             Dn.append(c.gather(k, Dn[k - 1], self._elev[k]))
         self._down = Dn
 
-        flat = np.concatenate([self.dual_volumes[k] for k in range(d)])
-        n_bad = int((flat <= 0).sum())
+        n_bad = sum(int((v <= 0).sum()) for v in self.dual_volumes[:d])
         if n_bad:
             warnings.warn(
                 f"{n_bad} dual volumes are zero or negative; "
                 "the mesh is not well-centered",
                 NonWellCenteredWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
-
-    @staticmethod
-    def _first_non_spd(G: np.ndarray) -> int:
-        for i in range(G.shape[0]):
-            try:
-                np.linalg.cholesky(G[i])
-            except np.linalg.LinAlgError:
-                return i
-        return 0
 
     # -- basic queries ---------------------------------------------------
 
@@ -194,7 +224,11 @@ class MetricComplex:
     def embed_simplex(self, s: SimplexId) -> np.ndarray:
         """Coordinates of the vertices of ``s`` in R^k, vertex 0 at the
         origin, reproducing all pairwise squared lengths."""
-        return self._coords[s.dim][s.index].copy()
+        X = np.zeros((s.dim + 1, s.dim))
+        if s.dim:
+            g, i = self._gram[s.dim], s.index
+            X[1:] = g.L[i] * np.sqrt(np.ldexp(g.p[i], g.exp[i]))
+        return X
 
     def simplex_volume(self, s: SimplexId) -> float:
         """Unsigned k-volume of ``s`` (1 for vertices)."""
@@ -212,8 +246,7 @@ class MetricComplex:
         facet s of t, positive toward the vertex of t opposite s."""
         if t.dim != s.dim + 1:
             raise NotIncident(f"elevation needs dim(t) = dim(s) + 1, got {s} in {t}")
-        facets = self.complex.facets[t.dim][t.index]
-        pos = np.nonzero(facets == s.index)[0]
+        pos = np.nonzero(self.complex.facets[t.dim][t.index] == s.index)[0]
         if pos.size == 0:
             raise NotIncident(f"{s} is not a facet of {t}")
         return float(self._elev[t.dim][t.index, pos[0]])
@@ -235,26 +268,18 @@ class MetricComplex:
         is the product of the d consecutive elevations divided by d!,
         negative when the flag reaches outside its simplexes.
         """
-        c = self.complex
-        d = c.dim
+        d = self.dim
         ids = list(chain)
         if [s.dim for s in ids] != list(range(d + 1)):
             raise ValueError("chain must contain one simplex of each dimension 0..d")
         prod = 1.0
         for s, t in zip(ids, ids[1:]):
-            if not set(c.simplex(s)) <= set(c.simplex(t)):
-                raise NotIncident(f"{s} not a face of {t}")
-            prod *= self.elevation(s, t)
+            prod *= self.elevation(s, t)  # raises NotIncident unless s is a facet of t
         return prod / math.factorial(d)
 
     def hybrid_volume(self, s: SimplexId) -> float:
         """V_s = |s| |*s| / C(d, k), the hybrid-cell volume of ``s``."""
-        d = self.dim
-        return (
-            self.simplex_volume(s)
-            * self.dual_volume(s)
-            / math.comb(d, s.dim)
-        )
+        return self.simplex_volume(s) * self.dual_volume(s) / math.comb(self.dim, s.dim)
 
     def hybrid_volume_from_flags(self, s: SimplexId) -> float:
         """Same V_s accumulated as a signed sum over all flags through
@@ -384,20 +409,19 @@ class MetricComplex:
         column (i, j) is the angle at the hinge opposite vertices i and j.
         With the Gram matrix G of the cell and P = [-1^T; I], the matrix
         M = P G^-1 P^T holds the inner products of the barycentric
-        gradients, which are inward facet normals, so
+        gradients, which are inward facet normals.  It is formed from the
+        cell's factor G / s = L diag(p) L^T as Q^T diag(p)^-1 Q with
+        L Q = P^T, which is s M; the scale cancels in
 
             cos theta_ij = -M_ij / (sqrt(M_ii) sqrt(M_jj)).
-
-        The square roots are taken separately so that the product of two
-        small diagonal entries cannot underflow.
         """
         d = self.dim
         if d < 2:
             raise ValueError("dihedral angles need dimension >= 2")
-        D2 = self._dist2[d]
-        G = (D2[:, :1, 1:] + D2[:, 1:, :1] - D2[:, 1:, 1:]) / 2.0
-        P = np.vstack([-np.ones((1, d)), np.eye(d)])
-        M = P @ np.linalg.inv(G) @ P.T
+        g = self._gram[d]
+        Pt = np.hstack([-np.ones((d, 1)), np.eye(d)])
+        Q = _solve_lower(g.L, np.broadcast_to(Pt, (g.p.shape[0], d, d + 1)))
+        M = np.einsum("nia,ni,nib->nab", Q, 1.0 / g.p, Q)
         i, j = np.array(list(itertools.combinations(range(d + 1), 2))).T
         root = np.sqrt(np.diagonal(M, axis1=1, axis2=2))
         cos = -M[:, i, j] / (root[:, i] * root[:, j])
@@ -431,10 +455,5 @@ class MetricComplex:
     def well_centered_fraction(self) -> float:
         """Fraction of simplexes of dimension >= 2 that contain their own
         circumcenter (all barycentric coordinates nonnegative)."""
-        good = 0
-        total = 0
-        for k in range(2, self.dim + 1):
-            b = self.barycentric[k]
-            good += int((b >= 0).all(axis=1).sum())
-            total += b.shape[0]
-        return good / total if total else 1.0
+        inside = [(self.barycentric[k] >= 0).all(axis=1) for k in range(2, self.dim + 1)]
+        return float(np.concatenate(inside).mean()) if inside else 1.0

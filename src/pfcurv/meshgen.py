@@ -15,7 +15,7 @@ from numpy.random import Generator, Philox
 
 from .complex import build_complex
 from .errors import DegenerateSimplex
-from .geometry import MetricComplex
+from .geometry import MetricComplex, simplex_gram
 
 MAX_RESAMPLE_ATTEMPTS = 50
 
@@ -157,22 +157,8 @@ def _degenerate_edges(m: MetricComplex, l2: np.ndarray) -> np.ndarray:
     """Mask of edges participating in some degenerate simplex under the
     candidate squared lengths."""
     c = m.complex
-    bad = np.zeros(l2.shape[0], dtype=bool)
-    if (l2 <= 0).any():
-        bad |= l2 <= 0
+    bad = l2 <= 0
     for k in range(2, c.dim + 1):
         eids = c.edge_ids(k)
-        nk = eids.shape[0]
-        D2 = np.zeros((nk, k + 1, k + 1))
-        for col, (p, q) in enumerate(itertools.combinations(range(k + 1), 2)):
-            D2[:, p, q] = D2[:, q, p] = l2[eids[:, col]]
-        B = np.zeros((nk, k + 2, k + 2))
-        B[:, 0, 1:] = 1.0
-        B[:, 1:, 0] = 1.0
-        B[:, 1:, 1:] = D2
-        det = np.linalg.det(B)
-        vol_sq = ((-1.0) ** (k + 1)) * det / (2.0**k * math.factorial(k) ** 2)
-        scale = D2.max(axis=(1, 2))
-        for i in np.nonzero(vol_sq <= 1e-12 * scale**k)[0]:
-            bad[eids[i]] = True
+        bad[eids[simplex_gram(l2[eids], k).degenerate]] = True
     return bad

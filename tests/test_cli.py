@@ -361,6 +361,21 @@ def test_degenerate_mesh_exits_3(tmp_path, capsys):
     assert err.startswith("pfcurv: error: 2-simplex (0, 1, 2) has non-positive volume")
 
 
+@pytest.mark.parametrize("scale", [1e250, 1e-250])
+def test_unrepresentable_volume_exits_3(tmp_path, capsys, simplex5_boundary, scale):
+    # a valid mesh whose 3-volumes overflow or underflow float64
+    c = simplex5_boundary.complex
+    lengths = [
+        {"v": e.tolist(), "L2": scale * v}
+        for e, v in zip(c.simplices[1], simplex5_boundary.edge_lengths_sq)
+    ]
+    doc = {"dimension": 4, "cells": c.simplices[4].tolist(), "edge_lengths_sq": lengths}
+    assert cli.main(["info", write_doc(tmp_path, doc, "scaled.json")]) == 3
+    err = capsys.readouterr().err
+    assert "has a 3-volume not representable in float64" in err
+    assert "non-positive" not in err
+
+
 def test_unsupported_generator_argument_exits_4(tmp_path, capsys):
     rc = cli.main(["gen", "icosphere", "--level", "9", "-o", str(tmp_path / "x.json")])
     assert rc == 4

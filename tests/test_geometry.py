@@ -12,6 +12,10 @@ from pfcurv import (
     NotIncident,
     SimplexId,
     build_complex,
+    gen_flat_grid,
+    perturb_lengths,
+    read_mesh,
+    write_mesh,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -362,6 +366,24 @@ def test_non_well_centered_warning(grid2):
         MetricComplex(grid2.complex, grid2.edge_lengths_sq)
     # the warning names the line that built the MetricComplex
     assert record[0].filename == __file__
+
+
+def test_non_well_centered_warning_names_the_caller(tmp_path, grid2):
+    # the warning skips every frame inside the package, so it names this
+    # file also when the MetricComplex is built by a reader or generator
+    path = tmp_path / "grid2.json"
+    write_mesh(path, grid2)
+    builds = {
+        "MetricComplex": lambda: MetricComplex(grid2.complex, grid2.edge_lengths_sq),
+        "read_mesh": lambda: read_mesh(path),
+        "perturb_lengths": lambda: perturb_lengths(grid2, 0.0, seed=0),
+        "gen_flat_grid": lambda: gen_flat_grid(2, 3),
+    }
+    for name, build in builds.items():
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always", NonWellCenteredWarning)
+            build()
+        assert [w.filename for w in record] == [__file__], name
 
 
 def test_scaling_of_measures(ico):
