@@ -5,8 +5,8 @@ Exit codes: 0 ok, 1 usage, 2 invalid mesh, 3 degenerate geometry,
 4 unsupported request, 5 failed check.
 
 All numbers are printed with 17 significant digits so output can be
-diffed across implementations.  PFCURV_THREADS caps the BLAS thread
-pools (best effort; 0 or unset leaves the libraries on auto).
+diffed across implementations.  Warnings print as ``pfcurv: warning:``
+lines on stderr.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+import warnings
 
-# Heavy imports (numpy and the rest of the package) happen inside the
-# command handlers, after the thread caps are in place.
+# The handlers import numpy and the package, so usage errors stay fast.
 
 SKELETON_LABELS = ["V", "E", "F", "T"]
 
@@ -40,20 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(1)
-
-
-def _setup_threads() -> None:
-    raw = os.environ.get("PFCURV_THREADS")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n <= 0:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def _open_out(path):
@@ -134,37 +119,14 @@ def _element_rows(m, k: int) -> list[list]:
 
 def cmd_curvature(args) -> int:
     from . import meshfile
-    from .curvature import curvature_report
+    from .curvature import target_columns
 
     m = meshfile.read_mesh(args.mesh)
-    d = m.dim
-    at = args.at
-    if d == 2 and at in ("edges", "dual-edges"):
-        return _fail(4, f"target {at!r} needs dimension >= 3 (mesh has d=2)")
-    report = curvature_report(m)
-    cols = report.target_columns(at)
-    carrier = {
-        "hinges": d - 2,
-        "dual-edges": d - 1,
-        "edges": 1,
-        "vertices": 0,
-        "dual-vertices": d,
-    }[at]
-    factor = report.metadata["orientation_factor"] if args.both_orientations else 1.0
-    value_names = []
-    for name in cols:
-        if name.endswith("_normalized"):
-            if not args.normalized:
-                continue
-        elif args.normalized and f"{name}_normalized" in cols:
-            continue
-        value_names.append(name)
-    values = []
-    for name in value_names:
-        v, scale = cols[name], factor if name.startswith(("riemann", "ricci")) else 1.0
-        values.append(v.tolist() if v.dtype == bool else (scale * v.astype(float)).tolist())
+    carrier, cols = target_columns(m, args.at)
+    names = [col.label(name, args.normalized) for name, col in cols.items()]
+    values = [col.view(args.normalized, args.both_orientations).tolist() for col in cols.values()]
     rows = [row + list(extra) for row, extra in zip(_element_rows(m, carrier), zip(*values))]
-    _emit_table(args, ELEMENT_HEADER + value_names, rows)
+    _emit_table(args, ELEMENT_HEADER + names, rows)
     return 0
 
 
@@ -314,37 +276,37 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_check)
 
     q = sub.add_parser("gen", help="generate a mesh file")
+    q.set_defaults(func=cmd_gen)
     gsub = q.add_subparsers(dest="generator", required=True, parser_class=_Parser)
 
     g = gsub.add_parser("flat-grid")
     g.add_argument("--dim", type=int, choices=[2, 3, 4], default=2)
     g.add_argument("--n", type=int, default=3)
     g.add_argument("-o", "--output", default=None)
-    g.set_defaults(func=cmd_gen)
 
     g = gsub.add_parser("simplex-boundary")
     g.add_argument("--ambient-dim", type=int, default=3)
     g.add_argument("-o", "--output", default=None)
-    g.set_defaults(func=cmd_gen)
 
     g = gsub.add_parser("icosphere")
     g.add_argument("--level", type=int, default=0)
     g.add_argument("--radius", type=float, default=1.0)
     g.add_argument("-o", "--output", default=None)
-    g.set_defaults(func=cmd_gen)
 
     g = gsub.add_parser("perturb")
     g.add_argument("input")
     g.add_argument("--amplitude", type=float, default=0.05)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", default=None)
-    g.set_defaults(func=cmd_gen)
 
     return p
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"pfcurv: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    _setup_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -359,20 +321,15 @@ def main(argv=None) -> int:
     )
 
     try:
-        return args.func(args)
-    except MeshFileError as exc:
-        return _fail(2, str(exc))
-    except (DuplicateCell, NonManifold, InconsistentOrientation) as exc:
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
+    except (MeshFileError, DuplicateCell, NonManifold, InconsistentOrientation, OSError) as exc:
         return _fail(2, str(exc))
     except (DegenerateSimplex, ZeroMeasureElement) as exc:
         return _fail(3, str(exc))
-    except UnsupportedPair as exc:
+    except (UnsupportedPair, ValueError) as exc:
         return _fail(4, str(exc))
-    except ValueError as exc:
-        return _fail(4, str(exc))
-    except OSError as exc:
-        return _fail(2, str(exc))
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -7,15 +7,14 @@ lexicographic order, giving each a dense, stable (dimension, index) id, and
 vertex, which picks up the boundary sign (-1)**j.  The facet table with a
 weight per slot is an incidence operator: :meth:`SimplicialComplex.scatter`
 applies it and :meth:`SimplicialComplex.gather` its transpose, so no
-matrix is ever built.  Tuple views, ordered hinge stars and the
-orientation are built from these on first use.
+matrix is ever built.  Tuple views and the orientation are built from
+these on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,21 +32,6 @@ class SimplexId(NamedTuple):
 
     dim: int
     index: int
-
-
-@dataclass(frozen=True)
-class Hinge:
-    """A codimension-2 simplex with its ordered star of top cells.
-
-    For an interior hinge ``star`` lists the incident top cells in cyclic
-    order (consecutive cells share a codimension-1 face containing the
-    hinge, and so do the last and the first).  For a boundary hinge it is
-    an open chain from one boundary face to the other.
-    """
-
-    simplex: SimplexId
-    star: tuple[SimplexId, ...]
-    is_boundary: bool
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,15 +79,14 @@ class SimplicialComplex:
     Instances are built with :func:`build_complex` and are immutable in
     practice.  ``simplices``, ``facets`` and ``is_boundary`` are arrays
     set at construction; the face index tables (:meth:`edge_ids`,
-    :attr:`top_hinges`), the tuple views, the ordered hinge stars and the
-    orientation are built once, on first use.
+    :attr:`top_hinges`), the tuple views and the orientation are built
+    once, on first use.
     """
 
     def __init__(self, dim: int, simplices: list[np.ndarray], facets: list[np.ndarray | None]):
         self.dim = dim
         self.simplices = simplices
         self.facets = facets
-        self._hinges: list[Hinge] | None = None
         self._edge_ids: dict[int, np.ndarray] = {}
         self.is_boundary = self._find_boundary()
 
@@ -223,7 +206,7 @@ class SimplicialComplex:
 
     @functools.cached_property
     def top_hinges(self) -> np.ndarray:
-        """Hinge index opposite every vertex-position pair (i, j), i < j, of
+        """Index of the hinge opposite every vertex-position pair (i, j), i < j, of
         every top cell.
 
         Shape (n_top, C(d+1, 2)); column order is
@@ -245,14 +228,16 @@ class SimplicialComplex:
 
     # -- hinge stars -----------------------------------------------------
 
-    @functools.cached_property
-    def _star_links(self) -> np.ndarray:
-        """How the (top cell, hinge) incidences link up around each hinge.
+    def _check_stars(self) -> None:
+        """Raise :class:`BrokenCycle` unless the top cells around every
+        hinge are connected across ridges through that hinge.
 
         Node t * P + p stands for top cell t at hinge column p = (i, j) of
-        :attr:`top_hinges`.  Its two ridges through the hinge are the
-        facets opposite i (slot 0) and opposite j (slot 1); entry
-        [node, slot] is the node across that ridge, or -1 on the boundary.
+        :attr:`top_hinges`; its two ridges through the hinge are the
+        facets opposite i and opposite j.  With no ridge on more than two
+        top cells, each node links to at most two others, so one component
+        per hinge means each star is a single cycle or a single open chain,
+        and it is open exactly when the hinge lies on a boundary ridge.
         """
         d = self.dim
         i, j = np.array(list(itertools.combinations(range(d + 1), 2))).T
@@ -261,55 +246,12 @@ class SimplicialComplex:
         # v_j sits at position j - 1 of the facet opposite i, and v_i at
         # position i of the facet opposite j
         a, b = _matches(np.stack([F[:, i] * d + j - 1, F[:, j] * d + i], axis=2).ravel())
-        across = np.full(2 * F.shape[0] * len(i), -1)
-        across[a], across[b] = b // 2, a // 2
-        return across.reshape(-1, 2)
-
-    def _check_stars(self) -> None:
-        """Raise :class:`BrokenCycle` unless the top cells around every
-        hinge are connected across ridges through that hinge.
-
-        With no ridge on more than two top cells, each cell of a star
-        links to at most two others, so one component per hinge means
-        each star is a single cycle or a single open chain, and it is open
-        exactly when the hinge lies on a boundary ridge.
-        """
-        across = self._star_links
-        a, s = np.nonzero(across >= 0)
-        lab = _components(len(across), a, across[a, s])
+        lab = _components(F.shape[0] * len(i), a // 2, b // 2)
         roots = self.top_hinges.ravel()[lab == np.arange(len(lab))]
-        broken = np.bincount(roots, minlength=self.n_simplices(self.dim - 2)) != 1
+        broken = np.bincount(roots, minlength=self.n_simplices(d - 2)) != 1
         if broken.any():
-            h = SimplexId(self.dim - 2, int(np.argmax(broken)))
+            h = SimplexId(d - 2, int(np.argmax(broken)))
             raise BrokenCycle(f"hinge {self.simplex(h)}: star splits into several fans")
-
-    def hinges(self) -> list[Hinge]:
-        """All codimension-2 simplexes with ordered stars (``dim >= 2``).
-
-        An open star starts at its lowest end cell and an interior star at
-        its lowest cell, leaving it across the ridge opposite the lower of
-        the two hinge columns.
-        """
-        d = self.dim
-        if d < 2:
-            raise ValueError("hinges need dimension >= 2")
-        if self._hinges is None:
-            across = self._star_links.tolist()
-            flat = self.top_hinges.ravel()
-            groups = np.split(np.argsort(flat, kind="stable"), np.cumsum(np.bincount(flat))[:-1])
-            self._hinges = []
-            for h, star in enumerate(groups):
-                star = star.tolist()
-                ends = [(n, 1 - across[n].index(-1)) for n in star if -1 in across[n]]
-                cur, slot = ends[0] if ends else (star[0], 0)
-                order = [cur]
-                while across[cur][slot] not in (-1, order[0]):
-                    cur, prev = across[cur][slot], cur
-                    slot = 1 if across[cur][0] == prev else 0
-                    order.append(cur)
-                cells = tuple(SimplexId(d, n // self.top_hinges.shape[1]) for n in order)
-                self._hinges.append(Hinge(SimplexId(d - 2, h), cells, bool(self.is_boundary[d - 2][h])))
-        return self._hinges
 
     # -- orientation -----------------------------------------------------
 

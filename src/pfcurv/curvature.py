@@ -22,21 +22,53 @@ carry d(d-1) with no extra factor, and have no orientation switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .complex import Hinge, SimplexId
+from .complex import SimplexId
 from .errors import BoundaryElement, BoundaryHinge, ZeroMeasureElement
 from .geometry import MetricComplex
 
 TWO_PI = 2.0 * math.pi
+ORIENTATION_FACTOR = 2.0
+TARGETS = ("hinges", "dual-edges", "edges", "vertices", "dual-vertices")
 
 
-def _hinge(m: MetricComplex, h) -> SimplexId:
-    """The id of a hinge given as a :class:`SimplexId` or a :class:`Hinge`."""
-    if isinstance(h, Hinge):
-        h = h.simplex
+class Column(NamedTuple):
+    """One report column, a scalar or an array.
+
+    A Riemann or Ricci column also holds its normalized twin and carries
+    the orientation factor; every other column has neither.
+    """
+
+    values: np.ndarray
+    normalized: np.ndarray | None = None
+
+    def label(self, name: str, normalized: bool = False) -> str:
+        """The column's name under the normalization switch."""
+        return f"{name}_normalized" if normalized and self.normalized is not None else name
+
+    def view(self, normalized: bool = False, both_orientations: bool = False):
+        """The column's values under the two switches."""
+        if self.normalized is None:
+            return self.values
+        value = self.normalized if normalized else self.values
+        return ORIENTATION_FACTOR * value if both_orientations else value
+
+
+def _riemann(sec, d: int) -> Column:
+    """Riemann eigenvalues C(d, 2) sectional; normalized, the sectional."""
+    return Column(math.comb(d, 2) * sec, sec)
+
+
+def _ricci(ric, d: int) -> Column:
+    """Ricci values; normalized, divided by d."""
+    return Column(ric, ric / d)
+
+
+def _hinge(m: MetricComplex, h: SimplexId) -> SimplexId:
     if h.dim != m.dim - 2:
         raise ValueError(f"hinges have dimension {m.dim - 2}, got {h.dim}")
     return h
@@ -81,18 +113,7 @@ def riemann_hinge(
     unnormalized values carry the eigenvalue multiplicity C(d, 2) of the
     continuum round sphere, normalized ones are the bare sectional value.
     """
-    k = sectional(m, h)
-    if not normalized:
-        k *= math.comb(m.dim, 2)
-    if both_orientations:
-        k *= 2.0
-    return k
-
-
-def _convention(value: float, d: int, normalized: bool, both_orientations: bool) -> float:
-    if both_orientations:
-        value *= 2.0
-    return value / d if normalized else value
+    return _riemann(sectional(m, h), m.dim).view(normalized, both_orientations)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray, factor: float) -> np.ndarray:
@@ -143,15 +164,16 @@ def _restricted_average(m: MetricComplex, p: int, factor: float) -> np.ndarray:
     return _ratio(num, den, ~m.complex.is_boundary[p] & (den != 0), factor)
 
 
-# Per-element columns, each computed on first use and cached on the
-# MetricComplex; the per-element functions below index into them.
+# The Ricci or scalar column of every target but the hinges, computed on
+# first use and cached on the MetricComplex; the per-element functions
+# below index into them.
 _COLUMNS = {
-    "dual_edge_ricci": lambda m: _hybrid_average(
+    "dual-edges": lambda m: _hybrid_average(
         m, m.dim - 1, m.complex.facets[m.dim - 1], math.comb(m.dim, 2)
     ),
-    "edge_ricci": lambda m: _restricted_average(m, 1, math.comb(m.dim, 2)),
-    "vertex_scalar": lambda m: _restricted_average(m, 0, m.dim * (m.dim - 1)),
-    "dual_vertex_scalar": lambda m: _hybrid_average(
+    "edges": lambda m: _restricted_average(m, 1, math.comb(m.dim, 2)),
+    "vertices": lambda m: _restricted_average(m, 0, m.dim * (m.dim - 1)),
+    "dual-vertices": lambda m: _hybrid_average(
         m, m.dim, m.complex.top_hinges, m.dim * (m.dim - 1)
     ),
 }
@@ -161,11 +183,20 @@ def _column(m: MetricComplex, name: str) -> np.ndarray:
     return m.cached(name, _COLUMNS[name])
 
 
-def _entry(m: MetricComplex, name: str, i: int, why: str) -> float:
-    """One element of a column; nan raises :class:`ZeroMeasureElement`."""
-    value = _column(m, name)[i]
+def _entry(m: MetricComplex, name: str, s, k: int, noun: str, bnd, why: tuple[str, str]) -> float:
+    """Entry of the cached column ``name`` at the k-simplex ``s`` (an
+    index or a :class:`SimplexId`); raises :class:`BoundaryElement` where
+    ``bnd`` flags it and :class:`ZeroMeasureElement` where the column is
+    nan, with ``why`` ending the two messages."""
+    s = s if isinstance(s, SimplexId) else SimplexId(k, s)
+    if s.dim != k:
+        raise ValueError(f"expected a {k}-simplex, got dimension {s.dim}")
+    where = f"{noun} {m.complex.simplex(s)}"
+    if bnd[s.index]:
+        raise BoundaryElement(f"{where} {why[0]}")
+    value = _column(m, name)[s.index]
     if np.isnan(value):
-        raise ZeroMeasureElement(why)
+        raise ZeroMeasureElement(f"{where} {why[1]}")
     return float(value)
 
 
@@ -182,20 +213,11 @@ def ricci_dual_edge(
     d = m.dim
     if d < 3:
         raise ValueError("dual-edge Ricci needs dimension >= 3")
-    f = face if isinstance(face, SimplexId) else SimplexId(d - 1, face)
-    if f.dim != d - 1:
-        raise ValueError(f"expected a {d - 1}-face")
-    if m.complex.is_boundary[f.dim][f.index]:
-        raise BoundaryElement(
-            f"face {m.complex.simplex(f)} lies on the boundary; its dual "
-            "edge is clipped"
-        )
-    value = _entry(
-        m, "dual_edge_ricci", f.index,
-        f"face {m.complex.simplex(f)} has zero weight or an interior hinge "
-        "with zero dual area",
-    )
-    return _convention(value, d, normalized, both_orientations)
+    value = _entry(m, "dual-edges", face, d - 1, "face", m.complex.is_boundary[d - 1], (
+        "lies on the boundary; its dual edge is clipped",
+        "has zero weight or an interior hinge with zero dual area",
+    ))
+    return _ricci(value, d).view(normalized, both_orientations)
 
 
 def ricci_simplicial_edge(
@@ -215,16 +237,10 @@ def ricci_simplicial_edge(
     d = m.dim
     if d < 3:
         raise ValueError("edge Ricci needs dimension >= 3")
-    ell = edge if isinstance(edge, SimplexId) else SimplexId(1, edge)
-    if m.complex.is_boundary[1][ell.index]:
-        raise BoundaryElement(
-            f"edge {m.complex.simplex(ell)} lies on the boundary"
-        )
-    value = _entry(
-        m, "edge_ricci", ell.index,
-        f"edge {m.complex.simplex(ell)} sees zero average dual area",
-    )
-    return _convention(value, d, normalized, both_orientations)
+    value = _entry(m, "edges", edge, 1, "edge", m.complex.is_boundary[1], (
+        "lies on the boundary", "sees zero average dual area",
+    ))
+    return _ricci(value, d).view(normalized, both_orientations)
 
 
 def scalar_vertex(m: MetricComplex, v, *, lattice: str = "simplicial") -> float:
@@ -239,26 +255,15 @@ def scalar_vertex(m: MetricComplex, v, *, lattice: str = "simplicial") -> float:
     d = m.dim
     c = m.complex
     if lattice == "simplicial":
-        vid = v if isinstance(v, SimplexId) else SimplexId(0, v)
-        if c.is_boundary[0][vid.index]:
-            raise BoundaryElement(f"vertex {c.simplex(vid)} lies on the boundary")
-        return _entry(
-            m, "vertex_scalar", vid.index,
-            f"vertex {c.simplex(vid)} sees zero average dual area",
-        )
+        return _entry(m, "vertices", v, 0, "vertex", c.is_boundary[0], (
+            "lies on the boundary", "sees zero average dual area",
+        ))
     if lattice == "dual":
-        tid = v if isinstance(v, SimplexId) else SimplexId(d, v)
-        if tid.dim != d:
-            raise ValueError("dual vertices are top cells")
-        if c.is_boundary[d - 2][c.top_hinges[tid.index]].all():
-            raise BoundaryElement(
-                f"top cell {c.simplex(tid)} has no interior hinge"
-            )
-        return _entry(
-            m, "dual_vertex_scalar", tid.index,
-            f"top cell {c.simplex(tid)} sees zero hinge weight or an "
-            "interior hinge with zero dual area",
-        )
+        lonely = m.cached("no_interior_hinge", lambda m: c.is_boundary[d - 2][c.top_hinges].all(axis=1))
+        return _entry(m, "dual-vertices", v, d, "top cell", lonely, (
+            "has no interior hinge",
+            "sees zero hinge weight or an interior hinge with zero dual area",
+        ))
     raise ValueError(f"unknown lattice {lattice!r}")
 
 
@@ -278,112 +283,109 @@ def regge_action(
     return prefactor * float(dfc @ m.volumes[m.dim - 2])
 
 
+def target_columns(m: MetricComplex, at: str) -> tuple[int, dict[str, Column]]:
+    """The carrier dimension and the columns of one report target, one
+    row per carrier simplex; only this target's columns are computed.
+
+    Boundary elements hold nan in columns that are undefined for them,
+    and so do ratios whose dual measure vanishes.
+    """
+    d = m.dim
+    c = m.complex
+    if d == 2 and at in ("dual-edges", "edges"):
+        raise ValueError(f"target {at!r} needs dimension >= 3 (mesh has d=2)")
+    if at == "hinges":
+        sec = _sectionals(m)
+        return d - 2, {
+            "deficit": Column(_deficits(m)),
+            "sectional": Column(sec),
+            "riemann": _riemann(sec, d),
+            "area": Column(m.volumes[d - 2]),
+            "dual_area": Column(m.dual_volumes[d - 2]),
+            "is_boundary": Column(c.is_boundary[d - 2]),
+        }
+    kp = {"dual-edges": d - 1, "edges": 1, "vertices": 0, "dual-vertices": d}.get(at)
+    if kp is None:
+        raise ValueError(f"unknown target {at!r}")
+    # edges carry Ricci, vertices the scalar; dual vertices have no flag
+    values = _column(m, at)
+    cols = {"ricci": _ricci(values, d)} if at.endswith("edges") else {"scalar": Column(values)}
+    if at != "dual-vertices":
+        cols["is_boundary"] = Column(c.is_boundary[kp])
+    return kp, cols
+
+
+def _at(target: str, column: str):
+    """A report field that holds one column of one target."""
+    return field(metadata={"target": target, "column": column})
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
-    """All curvature data of one mesh in array form.
+    """All curvature data of one mesh in array form: the columns of every
+    target of :func:`target_columns`, with each normalized twin as a
+    field of its own.
 
-    Boundary elements hold nan in columns that are undefined for them
-    and are flagged in the matching boolean arrays; ratios that are
-    indeterminate because a dual measure vanishes (flat non-well-centered
-    meshes) are nan as well.  ``metadata`` records the conventions
-    (orientation factor, boundary handling).
+    Edge-target fields are None in dimension 2.  ``metadata`` records the
+    conventions (orientation factor, boundary handling).
     """
 
     dim: int
-    hinge_deficit: np.ndarray
-    hinge_sectional: np.ndarray
-    hinge_riemann: np.ndarray
-    hinge_riemann_normalized: np.ndarray
-    hinge_area: np.ndarray
-    hinge_dual_area: np.ndarray
-    hinge_is_boundary: np.ndarray
-    dual_edge_ricci: np.ndarray | None
-    dual_edge_ricci_normalized: np.ndarray | None
-    face_is_boundary: np.ndarray | None
-    edge_ricci: np.ndarray | None
-    edge_ricci_normalized: np.ndarray | None
-    edge_is_boundary: np.ndarray | None
-    vertex_scalar: np.ndarray
-    vertex_is_boundary: np.ndarray
-    dual_vertex_scalar: np.ndarray
+    hinge_deficit: np.ndarray = _at("hinges", "deficit")
+    hinge_sectional: np.ndarray = _at("hinges", "sectional")
+    hinge_riemann: np.ndarray = _at("hinges", "riemann")
+    hinge_riemann_normalized: np.ndarray = _at("hinges", "riemann_normalized")
+    hinge_area: np.ndarray = _at("hinges", "area")
+    hinge_dual_area: np.ndarray = _at("hinges", "dual_area")
+    hinge_is_boundary: np.ndarray = _at("hinges", "is_boundary")
+    dual_edge_ricci: np.ndarray | None = _at("dual-edges", "ricci")
+    dual_edge_ricci_normalized: np.ndarray | None = _at("dual-edges", "ricci_normalized")
+    face_is_boundary: np.ndarray | None = _at("dual-edges", "is_boundary")
+    edge_ricci: np.ndarray | None = _at("edges", "ricci")
+    edge_ricci_normalized: np.ndarray | None = _at("edges", "ricci_normalized")
+    edge_is_boundary: np.ndarray | None = _at("edges", "is_boundary")
+    vertex_scalar: np.ndarray = _at("vertices", "scalar")
+    vertex_is_boundary: np.ndarray = _at("vertices", "is_boundary")
+    dual_vertex_scalar: np.ndarray = _at("dual-vertices", "scalar")
     action: float
     metadata: dict = field(default_factory=dict)
 
     def target_columns(self, at: str) -> dict[str, np.ndarray]:
         """Column arrays for one reporting target, ready to serialize."""
-        if at == "hinges":
-            return {
-                "deficit": self.hinge_deficit,
-                "sectional": self.hinge_sectional,
-                "riemann": self.hinge_riemann,
-                "riemann_normalized": self.hinge_riemann_normalized,
-                "area": self.hinge_area,
-                "dual_area": self.hinge_dual_area,
-                "is_boundary": self.hinge_is_boundary,
-            }
-        if at == "dual-edges":
-            if self.dual_edge_ricci is None:
-                raise ValueError("dual-edge Ricci is undefined in dimension 2")
-            return {
-                "ricci": self.dual_edge_ricci,
-                "ricci_normalized": self.dual_edge_ricci_normalized,
-                "is_boundary": self.face_is_boundary,
-            }
-        if at == "edges":
-            if self.edge_ricci is None:
-                raise ValueError("edge Ricci is undefined in dimension 2")
-            return {
-                "ricci": self.edge_ricci,
-                "ricci_normalized": self.edge_ricci_normalized,
-                "is_boundary": self.edge_is_boundary,
-            }
-        if at == "vertices":
-            return {
-                "scalar": self.vertex_scalar,
-                "is_boundary": self.vertex_is_boundary,
-            }
-        if at == "dual-vertices":
-            return {"scalar": self.dual_vertex_scalar}
-        raise ValueError(f"unknown target {at!r}")
+        cols = {
+            f.metadata["column"]: getattr(self, f.name)
+            for f in fields(self) if f.metadata.get("target") == at
+        }
+        if not cols:
+            raise ValueError(f"unknown target {at!r}")
+        if any(v is None for v in cols.values()):
+            raise ValueError(f"target {at!r} needs dimension >= 3 (mesh has d={self.dim})")
+        return cols
 
 
 def curvature_report(m: MetricComplex) -> CurvatureReport:
     """Evaluate every curvature quantity on its natural support."""
     d = m.dim
-    c = m.complex
-    sec = _sectionals(m)
-    if d >= 3:
-        dric, eric = _column(m, "dual_edge_ricci"), _column(m, "edge_ricci")
-        dricn, ericn = dric / d, eric / d
-        fb, eb = c.is_boundary[d - 1].copy(), c.is_boundary[1].copy()
-    else:
-        dric = dricn = fb = eric = ericn = eb = None
+    values = {}
+    for at in TARGETS if d >= 3 else ("hinges", "vertices", "dual-vertices"):
+        for name, col in target_columns(m, at)[1].items():
+            values[at, name] = col.values
+            if col.normalized is not None:
+                values[at, col.label(name, True)] = col.normalized
     return CurvatureReport(
         dim=d,
-        hinge_deficit=_deficits(m),
-        hinge_sectional=sec,
-        hinge_riemann=math.comb(d, 2) * sec,
-        hinge_riemann_normalized=sec.copy(),
-        hinge_area=m.volumes[d - 2].copy(),
-        hinge_dual_area=m.dual_volumes[d - 2].copy(),
-        hinge_is_boundary=c.is_boundary[d - 2].copy(),
-        dual_edge_ricci=dric,
-        dual_edge_ricci_normalized=dricn,
-        face_is_boundary=fb,
-        edge_ricci=eric,
-        edge_ricci_normalized=ericn,
-        edge_is_boundary=eb,
-        vertex_scalar=_column(m, "vertex_scalar"),
-        vertex_is_boundary=c.is_boundary[0].copy(),
-        dual_vertex_scalar=_column(m, "dual_vertex_scalar"),
         action=regge_action(m),
         metadata={
-            "orientation_factor": 2.0,
+            "orientation_factor": ORIENTATION_FACTOR,
             "orientation_note": (
                 "values use one orientation per hinge plane; multiply "
                 "Riemann/Ricci by orientation_factor for the sum over "
                 "both orientations"
             ),
             "boundary": "boundary elements excluded (nan) and flagged",
+        },
+        **{
+            f.name: values.get((f.metadata["target"], f.metadata["column"]))
+            for f in fields(CurvatureReport) if f.metadata
         },
     )

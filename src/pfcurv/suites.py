@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplexId
-from .curvature import (
-    deficit,
-    regge_action,
-    ricci_dual_edge,
-    ricci_simplicial_edge,
-    riemann_hinge,
-)
+from .curvature import regge_action, target_columns
 from .dec import DUAL, SIMPLICIAL, Cochain, coderivative, exterior_derivative, hodge, l2_inner_product, transfer_density
 from .errors import ZeroMeasureElement
 from .geometry import MetricComplex
@@ -171,38 +164,33 @@ def curvature_checks(m: MetricComplex) -> list[CheckResult]:
         raise ValueError("curvature checks need dimension >= 2")
     out = []
     bnd = c.is_boundary[d - 2]
-    hs = [SimplexId(d - 2, i) for i in range(c.n_simplices(d - 2))]
     closed = not bnd.any()
     if d == 2 and closed:
-        total = sum(deficit(m, h) for h in hs)
+        # the builtin sum() adds in element order, which fixes the last
+        # digits of this residual and of the action sums below
+        total = sum(target_columns(m, "hinges")[1]["deficit"].values.tolist())
         target = 2.0 * math.pi * c.euler_characteristic()
         out.append(CheckResult("gauss-bonnet", abs(total - target), 1e-9))
     out.append(CheckResult("facet projection law", _projection_law(m), 1e-12))
+    S = regge_action(m)
     if d >= 3 and closed:
-        S = regge_action(m)
-        s_h = sum(
-            riemann_hinge(m, h) * m.hybrid_volume(h) for h in hs
-        )
-        s_lam = sum(
-            ricci_dual_edge(m, i) * m.hybrid_volume(SimplexId(d - 1, i))
-            for i in range(c.n_simplices(d - 1))
-        )
-        s_l = sum(
-            ricci_simplicial_edge(m, i) * m.hybrid_volume(SimplexId(1, i))
-            for i in range(c.n_simplices(1))
-        )
-        scale = max(abs(S), 1e-300)
-        worst = max(abs(s_h - S), abs(s_lam - S), abs(s_l - S)) / scale
-        out.append(CheckResult("action conservation across lattices", worst, 1e-10))
+        # the volume-weighted Riemann and Ricci columns telescope to the
+        # action; a nan (a zero dual area) leaves nothing to compare
+        terms = []
+        for at, name in (("hinges", "riemann"), ("dual-edges", "ricci"), ("edges", "ricci")):
+            k, cols = target_columns(m, at)
+            terms.append(cols[name].values * (m.volumes[k] * m.dual_volumes[k] / math.comb(d, k)))
+        if not any(np.isnan(t).any() for t in terms):
+            worst = max(abs(sum(t.tolist()) - S) for t in terms) / max(abs(S), 1e-300)
+            out.append(CheckResult("action conservation across lattices", worst, 1e-10))
     # scale covariance: lengths times sqrt(3), deficits invariant and
     # S ~ s**(d-2); the Gram kernel rescales by powers of two exactly, so a
     # factor of 4 would compare bit-identical numbers
     m2 = MetricComplex(c, 3.0 * m.edge_lengths_sq)
     drift = np.abs(m2.hinge_angle_sums - m.hinge_angle_sums)[~bnd]
     out.append(CheckResult("deficit scale invariance", float(drift.max(initial=0.0)), 1e-12))
-    S1 = regge_action(m)
-    if abs(S1) > 1e-9:
-        rel = abs(regge_action(m2) - math.sqrt(3.0) ** (d - 2) * S1) / abs(S1)
+    if abs(S) > 1e-9:
+        rel = abs(regge_action(m2) - math.sqrt(3.0) ** (d - 2) * S) / abs(S)
         out.append(CheckResult("action scale covariance", rel, 1e-10))
     return out
 

@@ -13,6 +13,7 @@ cross-check, not a tautology.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -309,3 +310,71 @@ class ChainSums:
             meas = m.volumes[1][i] if to_edges else m.dual_volumes[d - 1][i]
             out[i] = acc / V_s * meas
         return out
+
+
+# -- combinatorial references ----------------------------------------------
+
+
+def hinge_stars(c):
+    """Every hinge's star of top cells in walk order, and whether the walk
+    is an open chain, built from the vertex rows of the top cells alone.
+
+    Consecutive cells of a walk share a ridge through the hinge.  A walk
+    starts at a cell with a ridge through the hinge on no other cell, if
+    there is one, and is then an open chain; otherwise it starts at the
+    lowest cell of the star.
+    """
+    d = c.dim
+    tops = c.simplex_tuples[d]
+    around, on_ridge = {}, {}
+    for t, cell in enumerate(tops):
+        for h in itertools.combinations(cell, d - 1):
+            around.setdefault(h, []).append(t)
+        for r in itertools.combinations(cell, d):
+            on_ridge.setdefault(r, []).append(t)
+
+    def neighbors(t, h):
+        """The cells across the two ridges of t through h (None: no cell)."""
+        out = []
+        for v in set(tops[t]) - set(h):
+            r = tuple(x for x in tops[t] if x != v)
+            out.append(next((u for u in on_ridge[r] if u != t), None))
+        return out
+
+    stars = []
+    for h in c.simplex_tuples[d - 2]:
+        ends = [t for t in around[h] if None in neighbors(t, h)]
+        walk = [ends[0] if ends else around[h][0]]
+        while True:
+            step = [u for u in neighbors(walk[-1], h) if u is not None and u not in walk]
+            if not step:
+                break
+            walk.append(step[0])
+        stars.append(([SimplexId(d, t) for t in walk], bool(ends)))
+    return stars
+
+
+def periodic_torus(dim: int, n: int):
+    """Flat periodic Freudenthal torus on n^dim unit cubes (n >= 3).
+
+    Vertex ids are lattice points mod n; a cell walks one unit step along
+    each axis in the order of a permutation, so its vertices i < j are
+    j - i steps apart and that is the squared length of their edge.
+    """
+    cells, steps = [], []
+    for corner in itertools.product(range(n), repeat=dim):
+        for perm in itertools.permutations(range(dim)):
+            p = list(corner)
+            walk = [tuple(p)]
+            for ax in perm:
+                p[ax] += 1
+                walk.append(tuple(p))
+            cells.append([sum((x % n) * n**i for i, x in enumerate(q)) for q in walk])
+    c = build_complex(dim, cells)
+    l2 = np.zeros(c.n_simplices(1))
+    for cell in cells:
+        for i, j in itertools.combinations(range(dim + 1), 2):
+            e = c.id_of((cell[i], cell[j])).index
+            assert l2[e] in (0.0, j - i)
+            l2[e] = j - i
+    return MetricComplex(c, l2)

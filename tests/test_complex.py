@@ -164,15 +164,16 @@ def test_orientation_cancels_on_interior_ridges(name, request):
 def test_hinge_stars_are_chains_or_cycles(name, request):
     c = request.getfixturevalue(name).complex
     d = c.dim
-    hinges = c.hinges()
-    assert [h.simplex for h in hinges] == [SimplexId(d - 2, i) for i in range(len(hinges))]
-    for h in hinges:
-        hv = set(c.simplex(h.simplex))
-        star = [set(c.simplex(t)) for t in h.star]
-        assert sorted(h.star) == c.cofaces(h.simplex, d)
-        assert h.is_boundary == bool(c.is_boundary[d - 2][h.simplex.index])
+    stars = oracles.hinge_stars(c)
+    assert len(stars) == c.n_simplices(d - 2)
+    for i, (cells, is_open) in enumerate(stars):
+        h = SimplexId(d - 2, i)
+        hv = set(c.simplex(h))
+        star = [set(c.simplex(t)) for t in cells]
+        assert sorted(cells) == c.cofaces(h, d)
+        assert is_open == bool(c.is_boundary[d - 2][i])
         links = list(zip(star, star[1:]))
-        if not h.is_boundary:
+        if not is_open:
             links.append((star[-1], star[0]))
         for a, b in links:
             shared = a & b
@@ -197,24 +198,25 @@ def test_messages_name_plain_integers():
 
 
 def test_hinges_icosahedron(ico):
-    hinges = ico.complex.hinges()
-    assert len(hinges) == 12
-    for h in hinges:
-        assert not h.is_boundary
-        assert len(h.star) == 5
+    c = ico.complex
+    stars = oracles.hinge_stars(c)
+    assert len(stars) == 12
+    for i, (cells, is_open) in enumerate(stars):
+        assert not is_open
+        assert len(cells) == 5
         # consecutive star members share a face containing the hinge
-        star = [set(ico.complex.simplex(t)) for t in h.star]
-        v = ico.complex.simplex(h.simplex)[0]
+        star = [set(c.simplex(t)) for t in cells]
+        v = c.simplex(SimplexId(0, i))[0]
         for a, b in zip(star, star[1:] + star[:1]):
             assert v in a & b and len(a & b) == 2
 
 
 def test_hinges_open_chain(grid2):
     c = grid2.complex
-    boundary = [h for h in c.hinges() if h.is_boundary]
+    boundary = [cells for cells, is_open in oracles.hinge_stars(c) if is_open]
     assert boundary
-    for h in boundary:
-        star = [set(c.simplex(t)) for t in h.star]
+    for cells in boundary:
+        star = [set(c.simplex(t)) for t in cells]
         # open chain: consecutive triangles share an edge, ends do not wrap
         for a, b in zip(star, star[1:]):
             assert len(a & b) == 2

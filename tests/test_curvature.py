@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from pfcurv import (
     DUAL,
@@ -10,17 +12,24 @@ from pfcurv import (
     BoundaryHinge,
     Cochain,
     MetricComplex,
+    NonWellCenteredWarning,
     SimplexId,
+    build_complex,
     curvature_report,
     deficit,
+    gen_boundary_of_simplex,
+    gen_icosphere,
+    perturb_lengths,
     regge_action,
     ricci_dual_edge,
     ricci_simplicial_edge,
     riemann_hinge,
     scalar_vertex,
     sectional,
+    target_columns,
     transfer_density,
 )
+from pfcurv.curvature import TARGETS
 
 # Boundary of the regular 4-simplex with unit edges: three tetrahedra
 # around every edge, dihedral angle arccos(1/3).
@@ -33,14 +42,19 @@ VERTEX_DUAL_ICO = 0.79787844860616153
 SCALAR_ICO = 2.6249550994289419
 
 
+def hinges(m):
+    d = m.dim
+    return [SimplexId(d - 2, i) for i in range(m.complex.n_simplices(d - 2))]
+
+
 def test_deficit_tetrahedron_boundary(tet_boundary):
     # three equilateral corners meet at each vertex: 2 pi - 3 pi/3 = pi
-    for hg in tet_boundary.complex.hinges():
+    for hg in hinges(tet_boundary):
         assert deficit(tet_boundary, hg) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_deficit_five_cell(cell5):
-    hs = cell5.complex.hinges()
+    hs = hinges(cell5)
     assert len(hs) == 10
     for hg in hs:
         assert deficit(cell5, hg) == pytest.approx(DEFICIT_5CELL, abs=1e-12)
@@ -48,27 +62,27 @@ def test_deficit_five_cell(cell5):
 
 
 def test_deficit_icosahedron(ico):
-    for hg in ico.complex.hinges():
+    for hg in hinges(ico):
         assert deficit(ico, hg) == pytest.approx(math.pi / 3.0, abs=1e-12)
 
 
 def test_deficit_four_dim_simplex_boundary(simplex5_boundary):
     # three 4-cells around every triangle, dihedral angle arccos(1/4)
     want = 2.0 * math.pi - 3.0 * math.acos(0.25)
-    for hg in simplex5_boundary.complex.hinges():
+    for hg in hinges(simplex5_boundary):
         assert deficit(simplex5_boundary, hg) == pytest.approx(want, abs=1e-12)
 
 
 def test_deficit_flat_interior(grid3):
-    for hg in grid3.complex.hinges():
-        if not hg.is_boundary:
+    for hg in hinges(grid3):
+        if not grid3.complex.is_boundary[1][hg.index]:
             assert abs(deficit(grid3, hg)) < 1e-12
 
 
 def test_deficit_boundary_hinge(grid2):
     ext = []
-    for hg in grid2.complex.hinges():
-        if hg.is_boundary:
+    for hg in hinges(grid2):
+        if grid2.complex.is_boundary[0][hg.index]:
             with pytest.raises(BoundaryHinge):
                 deficit(grid2, hg)
             ext.append(deficit(grid2, hg, allow_boundary=True))
@@ -88,7 +102,7 @@ def test_deficit_rejects_non_hinge(ico):
 
 def test_sectional_and_riemann_five_cell(cell5):
     want = DEFICIT_5CELL / EDGE_DUAL_5CELL
-    for hg in cell5.complex.hinges():
+    for hg in hinges(cell5):
         assert sectional(cell5, hg) == pytest.approx(want, rel=1e-12)
         assert riemann_hinge(cell5, hg) == pytest.approx(3.0 * want, rel=1e-12)
         assert riemann_hinge(cell5, hg, normalized=True) == pytest.approx(
@@ -102,7 +116,7 @@ def test_sectional_and_riemann_five_cell(cell5):
 def test_sectional_icosahedron(ico):
     # C(2,2) = 1: Riemann and sectional coincide in dimension 2
     want = (math.pi / 3.0) / VERTEX_DUAL_ICO
-    for hg in ico.complex.hinges():
+    for hg in hinges(ico):
         assert sectional(ico, hg) == pytest.approx(want, rel=1e-12)
         assert riemann_hinge(ico, hg) == pytest.approx(want, rel=1e-12)
         assert riemann_hinge(ico, hg, normalized=True) == pytest.approx(
@@ -177,8 +191,32 @@ def test_scalar_vertex_rejections(grid3):
 
 def test_gauss_bonnet_icospheres(icospheres):
     for level, m in icospheres.items():
-        total = sum(deficit(m, hg) for hg in m.complex.hinges())
+        total = sum(deficit(m, hg) for hg in hinges(m))
         assert total == pytest.approx(4.0 * math.pi, abs=1e-9), level
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gauss_bonnet_perturbed_icospheres(level, seed):
+    m = perturb_lengths(gen_icosphere(level), 0.05, seed)
+    total = sum(deficit(m, hg) for hg in hinges(m))
+    assert total == pytest.approx(2.0 * math.pi * m.complex.euler_characteristic(), abs=1e-9)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 1), (100, 2), (400, 3)])
+def test_gauss_bonnet_random_sphere_hulls(n, seed):
+    # seeded Gaussian points pushed onto S^2; their hull is a closed
+    # triangulated sphere whose squared lengths are the squared chords
+    x = np.random.default_rng(seed).standard_normal((n, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    c = build_complex(2, ConvexHull(x).simplices)
+    e = c.simplices[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        m = MetricComplex(c, ((x[e[:, 0]] - x[e[:, 1]]) ** 2).sum(axis=1))
+    assert c.euler_characteristic() == 2
+    total = sum(deficit(m, hg) for hg in hinges(m))
+    assert total == pytest.approx(4.0 * math.pi, abs=1e-9)
 
 
 def test_regge_action_closed(ico, cell5):
@@ -199,13 +237,14 @@ def test_regge_action_flat(grid2, grid3):
 
 
 def test_deficit_scale_invariance(cell5):
-    scaled = MetricComplex(cell5.complex, 4.0 * cell5.edge_lengths_sq)
-    for hg in cell5.complex.hinges():
+    # squared lengths times 3: a power of two would be divided out exactly
+    scaled = MetricComplex(cell5.complex, 3.0 * cell5.edge_lengths_sq)
+    for hg in hinges(cell5):
         assert deficit(scaled, hg) == pytest.approx(
             deficit(cell5, hg), abs=1e-12
         )
-    # S picks up s**(d-2) = 2 from the hinge measures
-    assert regge_action(scaled) == pytest.approx(2.0 * ACTION_5CELL, rel=1e-12)
+    # S picks up s**(d-2) = sqrt(3) from the hinge measures
+    assert regge_action(scaled) == pytest.approx(math.sqrt(3.0) * ACTION_5CELL, rel=1e-12)
 
 
 def test_action_scale_invariant_dimension_two(ico):
@@ -217,8 +256,8 @@ def _lattice_sums(m):
     d = m.dim
     c = m.complex
     hinge = sum(
-        riemann_hinge(m, hg) * m.hybrid_volume(hg.simplex)
-        for hg in c.hinges()
+        riemann_hinge(m, hg) * m.hybrid_volume(hg)
+        for hg in hinges(m)
     )
     dual_edge = sum(
         ricci_dual_edge(m, i) * m.hybrid_volume(SimplexId(d - 1, i))
@@ -319,3 +358,44 @@ def test_curvature_report_dimension_two_targets(ico):
         rep.target_columns("moments")
     assert list(rep.target_columns("vertices")) == ["scalar", "is_boundary"]
     assert list(rep.target_columns("dual-vertices")) == ["scalar"]
+
+
+def test_target_columns_compute_only_their_own():
+    m = gen_boundary_of_simplex(4)
+    k, cols = target_columns(m, "vertices")
+    assert k == 0 and list(cols) == ["scalar", "is_boundary"]
+    k, cols = target_columns(m, "hinges")
+    assert k == 1
+    assert list(cols) == ["deficit", "sectional", "riemann", "area", "dual_area", "is_boundary"]
+    # only the vertex scalar column was built and cached
+    assert list(m._cache) == ["vertices"]
+    assert target_columns(m, "dual-edges")[0] == 2 and target_columns(m, "dual-vertices")[0] == 3
+    with pytest.raises(ValueError):
+        target_columns(m, "moments")
+    with pytest.raises(ValueError):
+        target_columns(gen_icosphere(0), "edges")
+
+
+def test_column_conventions(cell5):
+    _, cols = target_columns(cell5, "hinges")
+    riem, sec = cols["riemann"], cols["sectional"]
+    # normalized Riemann is the sectional column itself, not riemann / C(d, 2)
+    assert riem.normalized is sec.values
+    assert riem.label("riemann", True) == "riemann_normalized"
+    assert riem.label("riemann") == "riemann" and sec.label("sectional", True) == "sectional"
+    assert np.array_equal(riem.view(both_orientations=True), 2.0 * riem.values)
+    assert sec.view(True, True) is sec.values
+    ric = target_columns(cell5, "edges")[1]["ricci"]
+    assert np.array_equal(ric.view(True, True), 2.0 * ric.values / 3)
+    # the report holds the same arrays, normalized twins as fields of their own
+    rep = curvature_report(cell5)
+    for at in TARGETS:
+        want = {}
+        for name, col in target_columns(cell5, at)[1].items():
+            want[name] = col.values
+            if col.normalized is not None:
+                want[col.label(name, True)] = col.normalized
+        got = rep.target_columns(at)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=want[name].dtype != bool)

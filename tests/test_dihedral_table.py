@@ -43,7 +43,10 @@ def mesh(request):
 
 def _deficits(m):
     return np.array(
-        [deficit(m, h, allow_boundary=True) for h in m.complex.hinges()]
+        [
+            deficit(m, SimplexId(m.dim - 2, i), allow_boundary=True)
+            for i in range(m.complex.n_simplices(m.dim - 2))
+        ]
     )
 
 
@@ -64,9 +67,10 @@ def test_every_angle_matches_qr_oracle(mesh):
 
 
 def test_angle_sums_follow_hinge_stars(mesh):
-    for hg in mesh.complex.hinges():
-        total = sum(mesh.dihedral_angle(hg.simplex, t) for t in hg.star)
-        assert mesh.hinge_angle_sums[hg.simplex.index] == pytest.approx(
+    d = mesh.dim
+    for i, (cells, _) in enumerate(oracles.hinge_stars(mesh.complex)):
+        total = sum(mesh.dihedral_angle(SimplexId(d - 2, i), t) for t in cells)
+        assert mesh.hinge_angle_sums[i] == pytest.approx(
             total, abs=1e-13
         )
 

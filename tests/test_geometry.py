@@ -387,9 +387,11 @@ def test_non_well_centered_warning_names_the_caller(tmp_path, grid2):
 
 
 def test_scaling_of_measures(ico):
-    m2 = MetricComplex(ico.complex, 4.0 * ico.edge_lengths_sq)
+    # squared lengths times 3: a power of two would be divided out exactly
+    m2 = MetricComplex(ico.complex, 3.0 * ico.edge_lengths_sq)
+    s = math.sqrt(3.0)
     for k in range(3):
-        assert np.allclose(m2.volumes[k], 2.0**k * ico.volumes[k], rtol=1e-13)
+        assert np.allclose(m2.volumes[k], s**k * ico.volumes[k], rtol=1e-13)
         assert np.allclose(
-            m2.dual_volumes[k], 2.0 ** (2 - k) * ico.dual_volumes[k], rtol=1e-13
+            m2.dual_volumes[k], s ** (2 - k) * ico.dual_volumes[k], rtol=1e-13
         )
