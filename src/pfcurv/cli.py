@@ -4,23 +4,41 @@ Subcommands: info, curvature, action, volumes, hodge, check, gen.
 Exit codes: 0 ok, 1 usage, 2 invalid mesh, 3 degenerate geometry,
 4 unsupported request, 5 failed check.
 
-All numbers are printed with 17 significant digits so output can be
-diffed across implementations.  Warnings print as ``pfcurv: warning:``
+CSV tables and the one-value lines of info, action and check print
+floats with 17 significant digits (``%.17g``), so output can be diffed
+across implementations; CSV writes NaN as ``nan`` and flags as 0/1.
+JSON tables print floats with Python's shortest round-trip repr, NaN
+as null and flags as false/true.  Warnings print as ``pfcurv: warning:``
 lines on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
-import math
 import sys
 import warnings
 
-# The handlers import numpy and the package, so usage errors stay fast.
+import numpy as np
+
+from . import meshfile, meshgen
+from .curvature import regge_action, target_columns
+from .dec import hodge
+from .errors import (
+    DegenerateSimplex,
+    DuplicateCell,
+    InconsistentOrientation,
+    MeshFileError,
+    NonManifold,
+    UnsupportedPair,
+    ZeroMeasureElement,
+)
 
 SKELETON_LABELS = ["V", "E", "F", "T"]
+
+# CSV cell format by dtype kind; anything else (vertex names) is %s
+_CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
 def _g17(x) -> str:
@@ -41,51 +59,36 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _open_out(path):
+def _output(path):
+    """Context manager for the output stream: stdout for None or ``-``,
+    otherwise ``path`` opened for writing."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return _g17(v)
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
-
-
-def _emit_table(args, header: list[str], rows: list[list]) -> None:
-    fmt = getattr(args, "format", "csv")
-    fh, close = _open_out(getattr(args, "output", None))
-    try:
-        if fmt == "csv":
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows([[_csv_cell(v) for v in row] for row in rows])
+def _emit_table(args, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length columns as a table, one row per entry, in
+    ``args.format`` to ``args.output``."""
+    values = list(columns.values())
+    with _output(args.output) as fh:
+        if args.format == "csv":
+            row = ",".join(_CSV_FORMATS.get(v.dtype.kind, "%s") for v in values) + "\n"
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(row % r for r in zip(*(v.tolist() for v in values)))
         else:
-            records = [
-                dict(zip(header, (_json_cell(v) for v in row))) for row in rows
+            cells = [
+                (np.where(np.isfinite(v), v, None) if v.dtype.kind == "f" else v).tolist()
+                for v in values
             ]
-            json.dump(records, fh, indent=1)
+            json.dump([dict(zip(columns, r)) for r in zip(*cells)], fh, indent=1)
             fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # -- subcommands --------------------------------------------------------
 
 
 def cmd_info(args) -> int:
-    from . import meshfile
-
     m = meshfile.read_mesh(args.mesh)
     c = m.complex
     d = c.dim
@@ -100,40 +103,30 @@ def cmd_info(args) -> int:
     return 0
 
 
-ELEMENT_HEADER = ["index", "vertices", "measure", "dual_measure", "hybrid_volume"]
-
-
-def _measure_columns(m, kp: int):
-    meas = m.volumes[kp]
-    dual = m.dual_volumes[kp]
-    hyb = meas * dual / math.comb(m.dim, kp)
-    return meas, dual, hyb
-
-
-def _element_rows(m, k: int) -> list[list]:
-    """The ``ELEMENT_HEADER`` columns of every k-simplex."""
-    names = ["-".join(map(str, s)) for s in m.complex.simplices[k].tolist()]
-    cols = [c.tolist() for c in _measure_columns(m, k)]
-    return [list(r) for r in zip(range(len(names)), names, *cols)]
+def _measure_columns(m, k: int) -> dict[str, np.ndarray]:
+    """The index, vertex names, measure, dual measure and hybrid volume
+    of every k-simplex."""
+    rows = m.complex.simplices[k]
+    return {
+        "index": np.arange(len(rows)),
+        "vertices": np.array(["-".join(map(str, r)) for r in rows.tolist()]),
+        "measure": m.volumes[k],
+        "dual_measure": m.dual_volumes[k],
+        "hybrid_volume": m.hybrid_volumes[k],
+    }
 
 
 def cmd_curvature(args) -> int:
-    from . import meshfile
-    from .curvature import target_columns
-
     m = meshfile.read_mesh(args.mesh)
     carrier, cols = target_columns(m, args.at)
-    names = [col.label(name, args.normalized) for name, col in cols.items()]
-    values = [col.view(args.normalized, args.both_orientations).tolist() for col in cols.values()]
-    rows = [row + list(extra) for row, extra in zip(_element_rows(m, carrier), zip(*values))]
-    _emit_table(args, ELEMENT_HEADER + names, rows)
+    table = _measure_columns(m, carrier)
+    for name, col in cols.items():
+        table[col.label(name, args.normalized)] = col.view(args.normalized, args.both_orientations)
+    _emit_table(args, table)
     return 0
 
 
 def cmd_action(args) -> int:
-    from . import meshfile
-    from .curvature import regge_action
-
     m = meshfile.read_mesh(args.mesh)
     s = regge_action(
         m, prefactor=args.prefactor, include_boundary=args.include_boundary
@@ -143,44 +136,38 @@ def cmd_action(args) -> int:
 
 
 def cmd_volumes(args) -> int:
-    from . import meshfile
-
     m = meshfile.read_mesh(args.mesh)
-    c = m.complex
     if args.dim is not None:
         if not 0 <= args.dim <= m.dim:
             return _fail(4, f"no dimension-{args.dim} skeleton in a d={m.dim} mesh")
-        header, rows = ELEMENT_HEADER, _element_rows(m, args.dim)
-    else:
-        header = ["k", "count", "measure", "dual_measure", "hybrid_volume"]
-        rows = []
-        for k in range(m.dim + 1):
-            meas, dual, hyb = _measure_columns(m, k)
-            rows.append(
-                [k, c.n_simplices(k), float(meas.sum()), float(dual.sum()), float(hyb.sum())]
-            )
-    _emit_table(args, header, rows)
+        _emit_table(args, _measure_columns(m, args.dim))
+        return 0
+    table = {
+        "k": np.arange(m.dim + 1),
+        "count": np.array([len(s) for s in m.complex.simplices]),
+    }
+    for name, arrays in (
+        ("measure", m.volumes),
+        ("dual_measure", m.dual_volumes),
+        ("hybrid_volume", m.hybrid_volumes),
+    ):
+        table[name] = np.array([a.sum() for a in arrays])
+    _emit_table(args, table)
     return 0
 
 
 def cmd_hodge(args) -> int:
-    from . import meshfile
-    from .dec import hodge
-
     m = meshfile.read_mesh(args.mesh)
-    w = meshfile.read_cochain(args.cochain, m)
-    out = hodge(w)
-    fh, close = _open_out(args.output)
-    try:
+    out = hodge(meshfile.read_cochain(args.cochain, m))
+    with _output(args.output) as fh:
         meshfile.write_cochain(fh, out)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_check(args) -> int:
-    from . import meshfile, suites
+    # suites is the one module that importing the package does not load;
+    # only this subcommand needs it
+    from . import suites
 
     m = meshfile.read_mesh(args.mesh)
     results = suites.run_suite(m, args.suite)
@@ -195,8 +182,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from . import meshfile, meshgen
-
     if args.generator == "flat-grid":
         m = meshgen.gen_flat_grid(args.dim, args.n)
     elif args.generator == "simplex-boundary":
@@ -206,12 +191,8 @@ def cmd_gen(args) -> int:
     else:  # perturb
         base = meshfile.read_mesh(args.input)
         m = meshgen.perturb_lengths(base, args.amplitude, args.seed)
-    fh, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         meshfile.write_mesh(fh, m)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -309,17 +290,6 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .errors import (
-        DegenerateSimplex,
-        DuplicateCell,
-        InconsistentOrientation,
-        MeshFileError,
-        NonManifold,
-        UnsupportedPair,
-        ZeroMeasureElement,
-    )
-
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

@@ -76,8 +76,8 @@ def _matches(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SimplicialComplex:
     """Pure combinatorics of a simplicial complex of dimension ``d``.
 
-    Instances are built with :func:`build_complex` and are immutable in
-    practice.  ``simplices``, ``facets`` and ``is_boundary`` are arrays
+    Instances are built with :func:`build_complex` and are immutable.
+    ``simplices``, ``facets`` and ``is_boundary`` are read-only arrays
     set at construction; the face index tables (:meth:`edge_ids`,
     :attr:`top_hinges`), the tuple views and the orientation are built
     once, on first use.
@@ -89,6 +89,8 @@ class SimplicialComplex:
         self.facets = facets
         self._edge_ids: dict[int, np.ndarray] = {}
         self.is_boundary = self._find_boundary()
+        for a in (*simplices, *facets[1:], *self.is_boundary):
+            a.flags.writeable = False
 
     def _find_boundary(self) -> list[np.ndarray]:
         d = self.dim

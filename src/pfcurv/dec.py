@@ -74,9 +74,7 @@ class Cochain:
 
     def hybrid_volumes(self) -> np.ndarray:
         """V_s of the supporting elements (shared by s and *s)."""
-        m = self.metric
-        k = self.partner_dim
-        return m.volumes[k] * m.dual_volumes[k] / math.comb(m.dim, k)
+        return self.metric.hybrid_volumes[self.partner_dim]
 
     def densities(self) -> np.ndarray:
         """Pointwise values: integrated values over element measures."""
@@ -137,10 +135,8 @@ def _adjoint_weights(w: Cochain, k: int, *, inverted: bool = False) -> np.ndarra
     """
     m = w.metric
     kp = k if w.lattice == SIMPLICIAL else m.dim - k
-    vol = m.volumes[kp]
-    dual = m.dual_volumes[kp]
-    V = vol * dual / math.comb(m.dim, kp)
-    meas = vol if w.lattice == SIMPLICIAL else dual
+    V = m.hybrid_volumes[kp]
+    meas = m.volumes[kp] if w.lattice == SIMPLICIAL else m.dual_volumes[kp]
     if inverted and ((meas == 0).any() or (V == 0).any()):
         raise ZeroMeasureElement(
             f"zero measure in degree {k} blocks the measured adjoint"
@@ -218,11 +214,11 @@ def transfer_density(w: Cochain, target_lattice: str, target_degree: int = 1) ->
     down, up = m._down[1], m._up[d - 1] / math.factorial(d)
     if target_lattice == SIMPLICIAL:
         # dual edges (faces of dim d-1) onto simplicial edges
-        V_out = m.volumes[1] * m.dual_volumes[1] / d
+        V_out = m.hybrid_volumes[1]
         acc = down * m.chain_apply(1, d - 1, up * dens_in)
         meas, what = m.volumes[1], "edge"
     else:
-        V_out = m.volumes[d - 1] * m.dual_volumes[d - 1] / d
+        V_out = m.hybrid_volumes[d - 1]
         acc = up * m.chain_apply_t(1, d - 1, down * dens_in)
         meas, what = m.dual_volumes[d - 1], "face"
     zero = np.nonzero(V_out == 0)[0]

@@ -132,10 +132,10 @@ class MetricComplex:
         Squared length per edge, indexed like the 1-skeleton.
 
     All per-simplex caches (volumes, circumcenters, elevations, dual
-    volumes) are computed once at construction and are immutable.  The
-    dihedral angles, their per-hinge sums and the arrays kept with
-    :meth:`cached` are computed on first use and cached; new lengths need
-    a new instance.
+    volumes) are computed once at construction and are read-only arrays.
+    The hybrid volumes, the dihedral angles, their per-hinge sums and the
+    arrays kept with :meth:`cached` are computed on first use and cached,
+    read-only too; new lengths need a new instance.
     Construction raises :class:`DegenerateSimplex` if a simplex has no
     positive volume or one that float64 cannot hold, and emits
     :class:`NonWellCenteredWarning` when some net dual volume is zero or
@@ -205,6 +205,11 @@ class MetricComplex:
         for k in range(1, d + 1):
             Dn.append(c.gather(k, Dn[k - 1], self._elev[k]))
         self._down = Dn
+
+        for arrays in (self.volumes, self.dual_volumes, self.barycentric,
+                       self.circumradius_sq, self._elev[1:], U, Dn):
+            for a in arrays:
+                a.flags.writeable = False
 
         n_bad = sum(int((v <= 0).sum()) for v in self.dual_volumes[:d])
         if n_bad:
@@ -277,9 +282,19 @@ class MetricComplex:
             prod *= self.elevation(s, t)  # raises NotIncident unless s is a facet of t
         return prod / math.factorial(d)
 
+    @functools.cached_property
+    def hybrid_volumes(self) -> list[np.ndarray]:
+        """V_s = |s| |*s| / C(d, k) of every k-simplex, per dimension k:
+        the volume of the hybrid cell shared by ``s`` and its dual."""
+        out = [v * dv / math.comb(self.dim, k)
+               for k, (v, dv) in enumerate(zip(self.volumes, self.dual_volumes))]
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def hybrid_volume(self, s: SimplexId) -> float:
         """V_s = |s| |*s| / C(d, k), the hybrid-cell volume of ``s``."""
-        return self.simplex_volume(s) * self.dual_volume(s) / math.comb(self.dim, s.dim)
+        return float(self.hybrid_volumes[s.dim][s.index])
 
     def hybrid_volume_from_flags(self, s: SimplexId) -> float:
         """Same V_s accumulated as a signed sum over all flags through

@@ -166,10 +166,10 @@ def write_mesh(path_or_file, m: MetricComplex) -> None:
         "cells": c.simplices[c.dim].tolist(),
     }
     if m.coordinates is not None:
-        doc["coordinates"] = [list(map(float, p)) for p in m.coordinates]
+        doc["coordinates"] = np.asarray(m.coordinates, dtype=np.float64).tolist()
     doc["edge_lengths_sq"] = [
-        {"v": list(map(int, e)), "L2": float(v)}
-        for e, v in zip(c.simplices[1], m.edge_lengths_sq)
+        {"v": e, "L2": v}
+        for e, v in zip(c.simplices[1].tolist(), m.edge_lengths_sq.tolist())
     ]
     _dump(doc, path_or_file)
 
@@ -207,7 +207,7 @@ def write_cochain(path_or_file, w: Cochain) -> None:
         {
             "lattice": w.lattice,
             "degree": w.degree,
-            "values": [float(v) for v in w.values],
+            "values": w.values.astype(np.float64).tolist(),
         },
         path_or_file,
     )

@@ -39,7 +39,7 @@ def volume_checks(m: MetricComplex) -> list[CheckResult]:
     out = []
     total = float(m.volumes[d].sum())
     for k in range(d + 1):
-        hyb = m.volumes[k] * m.dual_volumes[k] / math.comb(d, k)
+        hyb = m.hybrid_volumes[k]
         out.append(
             CheckResult(f"volume partition k={k}", abs(hyb.sum() - total) / total, 1e-9)
         )
@@ -66,7 +66,7 @@ def volume_checks(m: MetricComplex) -> list[CheckResult]:
         area = m.volumes[d - 2]
         worst = float(np.max(np.abs(m.chain_apply_t(1, d - 2, scale) - area) / area))
         out.append(CheckResult("hinge area partition", worst, 1e-12))
-        hyb = m.volumes[1] * m.dual_volumes[1] / d
+        hyb = m.hybrid_volumes[1]
         acc = scale * m.chain_apply(1, d - 2, m.dual_volumes[d - 2]) / math.comb(d, 2)
         worst = _rel(hyb - acc, float(np.abs(hyb).max()))
         out.append(CheckResult("edge volume decomposition", worst, 1e-10))
@@ -179,7 +179,7 @@ def curvature_checks(m: MetricComplex) -> list[CheckResult]:
         terms = []
         for at, name in (("hinges", "riemann"), ("dual-edges", "ricci"), ("edges", "ricci")):
             k, cols = target_columns(m, at)
-            terms.append(cols[name].values * (m.volumes[k] * m.dual_volumes[k] / math.comb(d, k)))
+            terms.append(cols[name].values * m.hybrid_volumes[k])
         if not any(np.isnan(t).any() for t in terms):
             worst = max(abs(sum(t.tolist()) - S) for t in terms) / max(abs(S), 1e-300)
             out.append(CheckResult("action conservation across lattices", worst, 1e-10))

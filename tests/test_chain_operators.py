@@ -203,6 +203,13 @@ def test_columns_and_operators_are_cached_read_only(mesh):
     b = curvature_report(m)
     assert a.vertex_scalar is b.vertex_scalar
     assert not a.vertex_scalar.flags.writeable
+    # hybrid volumes are built on first use, and every cache is read-only
+    assert "hybrid_volumes" not in vars(m)
+    assert m.hybrid_volumes is m.hybrid_volumes
+    c = m.complex
+    for arrays in (m.volumes, m.dual_volumes, m.barycentric, m.circumradius_sq, m._elev[1:],
+                   m._up, m._down, m.hybrid_volumes, c.simplices, c.facets[1:], c.is_boundary):
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_chain_operator_rejects_bad_dimensions(cell5):

@@ -124,6 +124,99 @@ def test_curvature_output_file(tmp_path, capsys, ico):
     assert all(float(r[-2]) == pytest.approx(2.6249550994289419) for r in rows)
 
 
+def read_table(text, fmt):
+    """Column name -> cells as written: CSV strings or JSON values."""
+    if fmt == "csv":
+        header, rows = parse_csv(text)
+        return {name: [r[i] for r in rows] for i, name in enumerate(header)}
+    recs = json.loads(text)
+    return {name: [r[name] for r in recs] for name in recs[0]}
+
+
+def assert_cells_read_back(cells, want, fmt):
+    """Every cell of one written column against the library column: floats
+    bit for bit, nan as ``nan``/null, flags as 0/1 or false/true."""
+    want = np.asarray(want)
+    if want.dtype.kind == "b":
+        flags = ["0", "1"] if fmt == "csv" else [False, True]
+        assert cells == [flags[v] for v in want.tolist()]
+        assert all(type(v) is type(flags[0]) for v in cells)
+    elif want.dtype.kind == "i":
+        assert cells == ([str(v) for v in want.tolist()] if fmt == "csv" else want.tolist())
+        assert all(type(v) is (str if fmt == "csv" else int) for v in cells)
+    elif want.dtype.kind == "f":
+        nan = np.isnan(want)
+        blank = "nan" if fmt == "csv" else None
+        assert [v == blank for v in cells] == nan.tolist()
+        got = np.array([math.nan if v == blank else float(v) for v in cells])
+        assert all(type(v) is (str if fmt == "csv" else float) for v in np.array(cells, dtype=object)[~nan])
+        np.testing.assert_array_equal(got, want)
+        assert (np.signbit(got) == np.signbit(want))[~nan].all()
+    else:
+        assert cells == want.tolist()
+
+
+def element_columns(m, k):
+    rows = m.complex.simplices[k]
+    return {
+        "index": np.arange(len(rows)),
+        "vertices": np.array(["-".join(str(v) for v in r) for r in rows.tolist()]),
+        "measure": m.volumes[k],
+        "dual_measure": m.dual_volumes[k],
+        "hybrid_volume": m.volumes[k] * m.dual_volumes[k] / math.comb(m.dim, k),
+    }
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_grid", "icospheres"])
+def test_every_curvature_cell_reads_back(tmp_path, capsys, request, fixture):
+    mesh = request.getfixturevalue(fixture)
+    p = mesh_path(tmp_path, mesh[2] if fixture == "icospheres" else mesh)
+    m = meshfile.read_mesh(p)
+    assert m.dim == (2 if fixture == "icospheres" else 3)
+    targets = pfcurv.curvature.TARGETS if m.dim >= 3 else ("hinges", "vertices", "dual-vertices")
+    saw_nan = False
+    for at in targets:
+        carrier, cols = pfcurv.target_columns(m, at)
+        for fmt in ("csv", "json"):
+            for switches in ((), ("--normalized", "--both-orientations")):
+                rc = cli.main(["curvature", p, "--at", at, "--format", fmt, *switches])
+                assert rc == 0
+                table = read_table(capsys.readouterr().out, fmt)
+                want = element_columns(m, carrier)
+                on = bool(switches)
+                for name, col in cols.items():
+                    want[col.label(name, on)] = col.view(on, on)
+                assert list(table) == list(want)
+                assert all(v.count("-") == carrier for v in table["vertices"])
+                for name, col in want.items():
+                    assert_cells_read_back(table[name], col, fmt)
+                    saw_nan |= col.dtype.kind == "f" and bool(np.isnan(col).any())
+    assert saw_nan == (fixture == "perturbed_grid")
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_grid", "icospheres"])
+def test_every_volumes_cell_reads_back(tmp_path, capsys, request, fixture):
+    mesh = request.getfixturevalue(fixture)
+    p = mesh_path(tmp_path, mesh[2] if fixture == "icospheres" else mesh)
+    m = meshfile.read_mesh(p)
+    ks = range(m.dim + 1)
+    summary = {
+        "k": np.arange(m.dim + 1),
+        "count": np.array([m.complex.n_simplices(k) for k in ks]),
+        "measure": np.array([float(m.volumes[k].sum()) for k in ks]),
+        "dual_measure": np.array([float(m.dual_volumes[k].sum()) for k in ks]),
+        "hybrid_volume": np.array([float(element_columns(m, k)["hybrid_volume"].sum()) for k in ks]),
+    }
+    for fmt in ("csv", "json"):
+        for k, want in [(None, summary)] + [(k, element_columns(m, k)) for k in ks]:
+            rc = cli.main(["volumes", p, "--format", fmt] + ([] if k is None else ["--dim", str(k)]))
+            assert rc == 0
+            table = read_table(capsys.readouterr().out, fmt)
+            assert list(table) == list(want)
+            for name, col in want.items():
+                assert_cells_read_back(table[name], col, fmt)
+
+
 def test_curvature_edges_rejected_in_2d(tmp_path, capsys, ico):
     rc = cli.main(["curvature", mesh_path(tmp_path, ico), "--at", "edges"])
     captured = capsys.readouterr()

@@ -376,6 +376,22 @@ def test_target_columns_compute_only_their_own():
         target_columns(gen_icosphere(0), "edges")
 
 
+def test_report_columns_cannot_change_the_mesh():
+    # report columns share the mesh's cached arrays, so those are read-only
+    m = gen_boundary_of_simplex(4)
+    action = regge_action(m)
+    rep = curvature_report(m)
+    for col in (
+        rep.hinge_area,
+        rep.hinge_dual_area,
+        rep.hinge_is_boundary,
+        target_columns(m, "hinges")[1]["area"].values,
+    ):
+        with pytest.raises(ValueError):
+            col[0] = 7.0
+    assert regge_action(m) == action == ACTION_5CELL
+
+
 def test_column_conventions(cell5):
     _, cols = target_columns(cell5, "hinges")
     riem, sec = cols["riemann"], cols["sectional"]

@@ -46,6 +46,7 @@ def test_suite_selection(ico):
 def test_corrupted_dual_volume_fails_volume_checks():
     # a deliberately inconsistent cache must trip the partition identity
     m = gen_icosphere(0)
+    m.dual_volumes[1] = m.dual_volumes[1].copy()
     m.dual_volumes[1][0] *= 1.1
     results = volume_checks(m)
     failed = {r.name for r in results if not r.passed}
@@ -56,6 +57,7 @@ def test_corrupted_dual_volume_fails_curvature_checks():
     # the hinge dual area cancels from the action but not from the edge
     # Ricci averages, so conservation across lattices breaks
     m = gen_boundary_of_simplex(4)
+    m.dual_volumes[1] = m.dual_volumes[1].copy()
     m.dual_volumes[1][0] *= 1.5
     results = curvature_checks(m)
     failed = {r.name for r in results if not r.passed}
@@ -69,6 +71,7 @@ def test_projection_law_holds_and_catches_a_corrupted_facet(cell5, grid3, pertur
     # facet volumes and dihedral angles are computed independently, so a
     # wrong facet volume breaks the law in the cells around that facet
     m = gen_boundary_of_simplex(4)
+    m.volumes[2] = m.volumes[2].copy()
     m.volumes[2][3] *= 1.0 + 1e-9
     law = {r.name: r for r in curvature_checks(m)}["facet projection law"]
     assert not law.passed
