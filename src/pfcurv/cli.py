@@ -8,14 +8,14 @@ CSV tables and the one-value lines of info, action and check print
 floats with 17 significant digits (``%.17g``), so output can be diffed
 across implementations; CSV writes NaN as ``nan`` and flags as 0/1.
 JSON tables print floats with Python's shortest round-trip repr, NaN
-as null and flags as false/true.  Warnings print as ``pfcurv: warning:``
-lines on stderr.
+as null and flags as false/true.  JSON tables, cochains and meshes keep
+the indent-1 layout of ``json.dump`` byte for byte.  Warnings print as
+``pfcurv: warning:`` lines on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import warnings
@@ -31,13 +31,13 @@ from .errors import (
     InconsistentOrientation,
     MeshFileError,
     NonManifold,
-    UnsupportedPair,
+    UnsupportedRequest,
     ZeroMeasureElement,
 )
 
 SKELETON_LABELS = ["V", "E", "F", "T"]
 
-# CSV cell format by dtype kind; anything else (vertex names) is %s
+# CSV cell format by dtype kind
 _CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
@@ -60,29 +60,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _output(path):
-    """Context manager for the output stream: stdout for None or ``-``,
-    otherwise ``path`` opened for writing."""
-    if path in (None, "-"):
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    """Where output goes: stdout for None or ``-``, otherwise ``path``."""
+    return sys.stdout if path in (None, "-") else path
 
 
 def _emit_table(args, columns: dict[str, np.ndarray]) -> None:
-    """Write equal-length columns as a table, one row per entry, in
-    ``args.format`` to ``args.output``."""
-    values = list(columns.values())
-    with _output(args.output) as fh:
-        if args.format == "csv":
-            row = ",".join(_CSV_FORMATS.get(v.dtype.kind, "%s") for v in values) + "\n"
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(row % r for r in zip(*(v.tolist() for v in values)))
-        else:
-            cells = [
-                (np.where(np.isfinite(v), v, None) if v.dtype.kind == "f" else v).tolist()
-                for v in values
-            ]
-            json.dump([dict(zip(columns, r)) for r in zip(*cells)], fh, indent=1)
-            fh.write("\n")
+    """Write equal-length columns, one row per entry, in ``args.format``
+    to ``args.output``; a 2-D column (vertex ids) joins its ids by ``-``."""
+    csv = args.format == "csv"
+    formats, fields = [], []
+    for v in columns.values():
+        if v.ndim == 2:
+            fmt = "-".join(["%d"] * v.shape[1])
+            formats.append(fmt if csv else f'"{fmt}"')
+            fields += v.T.tolist()
+        elif csv:
+            formats.append(_CSV_FORMATS[v.dtype.kind])
+            fields.append(v.tolist())
+        else:  # the encoder's text, non-finite floats as null
+            formats.append("%s")
+            cells = np.where(np.isfinite(v), v, None) if v.dtype.kind == "f" else v
+            fields.append(meshfile.json_cells(cells.tolist()))
+    if csv:
+        row = ",".join(formats) + "\n"
+        text = ",".join(columns) + "\n" + "".join(row % r for r in zip(*fields))
+    else:
+        keys = [f"  {json.dumps(name)}: {fmt}" for name, fmt in zip(columns, formats)]
+        text = meshfile.json_list(" {\n" + ",\n".join(keys) + "\n }", fields, "") + "\n"
+    meshfile.write_text(_output(args.output), text)
 
 
 # -- subcommands --------------------------------------------------------
@@ -104,12 +109,12 @@ def cmd_info(args) -> int:
 
 
 def _measure_columns(m, k: int) -> dict[str, np.ndarray]:
-    """The index, vertex names, measure, dual measure and hybrid volume
+    """The index, vertex ids, measure, dual measure and hybrid volume
     of every k-simplex."""
     rows = m.complex.simplices[k]
     return {
         "index": np.arange(len(rows)),
-        "vertices": np.array(["-".join(map(str, r)) for r in rows.tolist()]),
+        "vertices": rows,
         "measure": m.volumes[k],
         "dual_measure": m.dual_volumes[k],
         "hybrid_volume": m.hybrid_volumes[k],
@@ -145,13 +150,10 @@ def cmd_volumes(args) -> int:
     table = {
         "k": np.arange(m.dim + 1),
         "count": np.array([len(s) for s in m.complex.simplices]),
+        "measure": np.array([a.sum() for a in m.volumes]),
+        "dual_measure": np.array([a.sum() for a in m.dual_volumes]),
+        "hybrid_volume": np.array([a.sum() for a in m.hybrid_volumes]),
     }
-    for name, arrays in (
-        ("measure", m.volumes),
-        ("dual_measure", m.dual_volumes),
-        ("hybrid_volume", m.hybrid_volumes),
-    ):
-        table[name] = np.array([a.sum() for a in arrays])
     _emit_table(args, table)
     return 0
 
@@ -159,8 +161,7 @@ def cmd_volumes(args) -> int:
 def cmd_hodge(args) -> int:
     m = meshfile.read_mesh(args.mesh)
     out = hodge(meshfile.read_cochain(args.cochain, m))
-    with _output(args.output) as fh:
-        meshfile.write_cochain(fh, out)
+    meshfile.write_cochain(_output(args.output), out)
     return 0
 
 
@@ -191,8 +192,7 @@ def cmd_gen(args) -> int:
     else:  # perturb
         base = meshfile.read_mesh(args.input)
         m = meshgen.perturb_lengths(base, args.amplitude, args.seed)
-    with _output(args.output) as fh:
-        meshfile.write_mesh(fh, m)
+    meshfile.write_mesh(_output(args.output), m)
     return 0
 
 
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
         return _fail(2, str(exc))
     except (DegenerateSimplex, ZeroMeasureElement) as exc:
         return _fail(3, str(exc))
-    except (UnsupportedPair, ValueError) as exc:
+    except UnsupportedRequest as exc:
         return _fail(4, str(exc))
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .errors import (
     DuplicateCell,
     InconsistentOrientation,
     NonManifold,
+    UnsupportedRequest,
 )
 
 
@@ -217,7 +218,7 @@ class SimplicialComplex:
         """
         d = self.dim
         if d < 2:
-            raise ValueError("hinges need dimension >= 2")
+            raise UnsupportedRequest("hinges need dimension >= 2")
         tab = np.stack(
             [
                 self._face_index(d, tuple(r for r in range(d + 1) if r not in p))

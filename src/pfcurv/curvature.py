@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complex import SimplexId
-from .errors import BoundaryElement, BoundaryHinge, ZeroMeasureElement
+from .errors import BoundaryElement, BoundaryHinge, UnsupportedRequest, ZeroMeasureElement
 from .geometry import MetricComplex
 
 TWO_PI = 2.0 * math.pi
@@ -292,8 +292,9 @@ def target_columns(m: MetricComplex, at: str) -> tuple[int, dict[str, Column]]:
     """
     d = m.dim
     c = m.complex
-    if d == 2 and at in ("dual-edges", "edges"):
-        raise ValueError(f"target {at!r} needs dimension >= 3 (mesh has d=2)")
+    need = 3 if at in ("dual-edges", "edges") else 2
+    if d < need:
+        raise UnsupportedRequest(f"target {at!r} needs dimension >= {need} (mesh has d={d})")
     if at == "hinges":
         sec = _sectionals(m)
         return d - 2, {

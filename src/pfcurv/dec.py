@@ -199,14 +199,14 @@ def transfer_density(w: Cochain, target_lattice: str, target_degree: int = 1) ->
         density_out(s) = sum_t density_in(t) V_{t s} / V_s
 
     summed over the incident partners t; the total L2 measure is
-    preserved.  Only the two degree-1 directions are supported."""
+    preserved.  Only the two degree-1 directions, in d >= 2, are supported."""
     m = w.metric
     d = m.dim
     pair = (w.lattice, w.degree, target_lattice, target_degree)
-    if pair not in ((DUAL, 1, SIMPLICIAL, 1), (SIMPLICIAL, 1, DUAL, 1)):
+    if d < 2 or pair not in ((DUAL, 1, SIMPLICIAL, 1), (SIMPLICIAL, 1, DUAL, 1)):
         raise UnsupportedPair(
             f"transfer from ({w.lattice}, {w.degree}) to "
-            f"({target_lattice}, {target_degree}) is not supported"
+            f"({target_lattice}, {target_degree}) is not supported in d={d}"
         )
     # V_{t s} = D_1[t] C(1, d-1)[t, s] U_{d-1}[s] / d! for an edge t and
     # a face s

@@ -50,7 +50,11 @@ class BoundaryHinge(BoundaryElement):
     boundary convention."""
 
 
-class UnsupportedPair(PfcurvError):
+class UnsupportedRequest(PfcurvError, ValueError):
+    """A quantity the mesh dimension lacks, or a parameter out of range."""
+
+
+class UnsupportedPair(UnsupportedRequest):
     """The requested lattice/degree combination is not supported."""
 
 

@@ -14,14 +14,14 @@ are, the coordinate-derived squared lengths must agree with the explicit
 ones to 1e-9 relative.  Coordinates are only ever used to derive squared
 lengths (and to serialize them back out).
 
-Numbers are written with Python's shortest round-trip float formatting,
-so write -> read reproduces lengths bit for bit.
+Files are UTF-8 in the indent-1 layout of ``json.dump``, written by the C
+encoder; shortest round-trip floats make write -> read exact bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 
@@ -37,20 +37,32 @@ def _load(path_or_file) -> Any:
     try:
         if hasattr(path_or_file, "read"):
             return json.load(path_or_file)
-        with open(path_or_file) as f:
+        with open(path_or_file, encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         raise MeshFileError(f"cannot read JSON: {e}") from None
 
 
-def _dump(doc: Any, path_or_file) -> None:
+def write_text(path_or_file, text: str) -> None:
+    """Write ``text`` to a file object, or to a path as UTF-8."""
     if hasattr(path_or_file, "write"):
-        json.dump(doc, path_or_file, indent=1)
-        path_or_file.write("\n")
+        path_or_file.write(text)
     else:
-        with open(path_or_file, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        with open(path_or_file, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
+def json_cells(values: list) -> list[str]:
+    """The C encoder's JSON text of each item of a flat list, split at the
+    separating newlines (JSON escapes newlines inside strings)."""
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n") if values else []
+
+
+def json_list(row: str, fields: list[list], pad: str = " ") -> str:
+    """The indent-1 ``json.dump`` text of a list whose items are ``row % r``
+    for r in ``zip(*fields)``; ``pad`` indents the closing bracket."""
+    items = ",\n".join(row % r for r in zip(*fields))
+    return f"[\n{items}\n{pad}]" if items else "[]"
 
 
 def _cell_array(cells: list, dim: int) -> np.ndarray:
@@ -140,6 +152,8 @@ def read_mesh(path_or_file) -> MetricComplex:
     if pts is not None:
         diff = pts[edges[:, 0]] - pts[edges[:, 1]]
         derived = (diff * diff).sum(axis=1)
+        if not (derived > 0).all():
+            raise MeshFileError(f"edge {tuple(edges[np.argmin(derived > 0)].tolist())} has zero length")
 
     explicit = None
     if lengths is not None:
@@ -161,17 +175,16 @@ def read_mesh(path_or_file) -> MetricComplex:
 def write_mesh(path_or_file, m: MetricComplex) -> None:
     """Serialize a metric complex; inverse of :func:`read_mesh` bit for bit."""
     c = m.complex
-    doc: dict[str, Any] = {
-        "dimension": c.dim,
-        "cells": c.simplices[c.dim].tolist(),
-    }
+    arrays = {"cells": c.simplices[c.dim].T.tolist()}  # each as its columns
     if m.coordinates is not None:
-        doc["coordinates"] = np.asarray(m.coordinates, dtype=np.float64).tolist()
-    doc["edge_lengths_sq"] = [
-        {"v": e, "L2": v}
-        for e, v in zip(c.simplices[1].tolist(), m.edge_lengths_sq.tolist())
-    ]
-    _dump(doc, path_or_file)
+        arrays["coordinates"] = [json_cells(x) for x in np.asarray(m.coordinates, float).T.tolist()]
+    text = f'{{\n "dimension": {c.dim}'
+    for key, cols in arrays.items():
+        row = "  [\n" + ",\n".join(["   %s"] * len(cols)) + "\n  ]"
+        text += f',\n "{key}": {json_list(row, cols)}'
+    edge = '  {\n   "v": [\n    %d,\n    %d\n   ],\n   "L2": %s\n  }'
+    lengths = json_list(edge, [*c.simplices[1].T.tolist(), json_cells(m.edge_lengths_sq.tolist())])
+    write_text(path_or_file, f'{text},\n "edge_lengths_sq": {lengths}\n}}\n')
 
 
 def read_cochain(path_or_file, m: MetricComplex) -> Cochain:
@@ -203,11 +216,6 @@ def read_cochain(path_or_file, m: MetricComplex) -> Cochain:
 
 
 def write_cochain(path_or_file, w: Cochain) -> None:
-    _dump(
-        {
-            "lattice": w.lattice,
-            "degree": w.degree,
-            "values": w.values.astype(np.float64).tolist(),
-        },
-        path_or_file,
-    )
+    values = json_list("  %s", [json_cells(w.values.astype(np.float64).tolist())])
+    head = f'{{\n "lattice": {json.dumps(w.lattice)},\n "degree": {w.degree}'
+    write_text(path_or_file, f'{head},\n "values": {values}\n}}\n')

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .complex import build_complex
-from .errors import DegenerateSimplex
+from .errors import DegenerateSimplex, UnsupportedRequest
 from .geometry import MetricComplex, simplex_gram
 
 MAX_RESAMPLE_ATTEMPTS = 50
@@ -38,9 +38,9 @@ def gen_flat_grid(dim: int, n: int) -> MetricComplex:
     and every interior hinge is flat.
     """
     if dim < 2:
-        raise ValueError("flat grids need dimension >= 2")
+        raise UnsupportedRequest("flat grids need dimension >= 2")
     if n < 1:
-        raise ValueError("need at least one cell per axis")
+        raise UnsupportedRequest("need at least one cell per axis")
     axes = [np.arange(n + 1)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     vid = {tuple(p): i for i, p in enumerate(grid)}
@@ -62,7 +62,7 @@ def gen_boundary_of_simplex(ambient_dim: int) -> MetricComplex:
     vertices: a closed (ambient_dim - 1)-sphere, e.g. 4 -> the 5-cell
     boundary."""
     if ambient_dim < 3:
-        raise ValueError("need ambient dimension >= 3 for a boundary of dimension >= 2")
+        raise UnsupportedRequest("need ambient dimension >= 3 for a boundary of dimension >= 2")
     verts = range(ambient_dim + 1)
     cells = list(itertools.combinations(verts, ambient_dim))
     c = build_complex(ambient_dim - 1, cells)
@@ -86,9 +86,9 @@ def gen_icosphere(level: int, radius: float = 1.0) -> MetricComplex:
     to 6 are supported.
     """
     if not 0 <= level <= 6:
-        raise ValueError("subdivision level must be in 0..6")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise UnsupportedRequest("subdivision level must be in 0..6")
+    if not 0 < radius < math.inf:
+        raise UnsupportedRequest("radius must be positive and finite")
     pts = _icosahedron_points()
     # faces: triangles whose three pairwise distances all equal the edge
     edge2 = 1.0 + 1e-9
@@ -134,8 +134,8 @@ def perturb_lengths(m: MetricComplex, amplitude: float, seed: int) -> MetricComp
     retry); :class:`DegenerateSimplex` propagates after
     ``MAX_RESAMPLE_ATTEMPTS`` rounds.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not (0 <= amplitude < math.inf and 0 <= seed < 2**128):
+        raise UnsupportedRequest("amplitude must be in [0, inf) and seed in [0, 2**128)")
     base = m.edge_lengths_sq
     c = m.complex
     n = base.shape[0]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curvature import regge_action, target_columns
 from .dec import DUAL, SIMPLICIAL, Cochain, coderivative, exterior_derivative, hodge, l2_inner_product, transfer_density
-from .errors import ZeroMeasureElement
+from .errors import UnsupportedRequest, ZeroMeasureElement
 from .geometry import MetricComplex
 
 
@@ -161,7 +161,7 @@ def curvature_checks(m: MetricComplex) -> list[CheckResult]:
     d = m.dim
     c = m.complex
     if d < 2:
-        raise ValueError("curvature checks need dimension >= 2")
+        raise UnsupportedRequest("curvature checks need dimension >= 2")
     out = []
     bnd = c.is_boundary[d - 2]
     closed = not bnd.any()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -130,6 +131,8 @@ def read_table(text, fmt):
         header, rows = parse_csv(text)
         return {name: [r[i] for r in rows] for i, name in enumerate(header)}
     recs = json.loads(text)
+    # the writer keeps json.dump(indent=1)'s layout byte for byte
+    assert text == json.dumps(recs, indent=1) + "\n"
     return {name: [r[name] for r in recs] for name in recs[0]}
 
 
@@ -215,6 +218,38 @@ def test_every_volumes_cell_reads_back(tmp_path, capsys, request, fixture):
             assert list(table) == list(want)
             for name, col in want.items():
                 assert_cells_read_back(table[name], col, fmt)
+
+
+# floats whose JSON text is easy to get wrong: signed zero, subnormals,
+# extremes, 17-digit reprs and the non-finite values
+AWKWARD = [0.0, -0.0, 1e-300, 5e-324, 1.0, math.pi, -1e300, 1e16, 2.5e-7, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("n", [len(AWKWARD), 0])
+def test_json_table_is_json_dump_indent_1(tmp_path, capsys, n):
+    ids = np.arange(3 * n).reshape(n, 3)[:, ::-1]
+    columns = {
+        "index": np.arange(n),
+        "vertices": ids,
+        "value": np.array(AWKWARD[:n]),
+        "is_boundary": np.arange(n) % 3 == 0,
+    }
+    records = [
+        {"index": i, "vertices": "-".join(map(str, r)), "value": v if math.isfinite(v) else None, "is_boundary": i % 3 == 0}
+        for i, r, v in zip(range(n), ids.tolist(), AWKWARD)
+    ]
+    oracle = json.dumps(records, indent=1) + "\n"
+    cli._emit_table(argparse.Namespace(format="json", output=None), columns)
+    assert capsys.readouterr().out == oracle
+    out = tmp_path / "table.json"
+    cli._emit_table(argparse.Namespace(format="json", output=str(out)), columns)
+    assert out.read_bytes() == oracle.encode()
+    cli._emit_table(argparse.Namespace(format="csv", output=None), columns)
+    want = ["index,vertices,value,is_boundary"] + [
+        f"{r['index']},{r['vertices']},{format(v, '.17g')},{int(r['is_boundary'])}"
+        for r, v in zip(records, AWKWARD)
+    ]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_curvature_edges_rejected_in_2d(tmp_path, capsys, ico):
@@ -475,6 +510,57 @@ def test_unsupported_generator_argument_exits_4(tmp_path, capsys):
     rc = cli.main(["gen", "icosphere", "--level", "9", "-o", str(tmp_path / "x.json")])
     assert rc == 4
     assert capsys.readouterr().err.startswith("pfcurv: error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["icosphere", "--level", "7"],
+        ["icosphere", "--level", "-1"],
+        ["icosphere", "--radius", "0"],
+        ["icosphere", "--radius", "nan"],
+        ["flat-grid", "--n", "0"],
+        ["simplex-boundary", "--ambient-dim", "2"],
+        ["perturb", "MESH", "--amplitude", "-0.1"],
+        ["perturb", "MESH", "--amplitude", "inf"],
+        ["perturb", "MESH", "--seed", "-1"],
+    ],
+)
+def test_gen_parameter_errors_exit_4(tmp_path, capsys, ico, argv):
+    argv = [mesh_path(tmp_path, ico) if a == "MESH" else a for a in argv]
+    out = tmp_path / "x.json"
+    assert cli.main(["gen", *argv, "-o", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("pfcurv: error:")
+    assert not out.exists()
+
+
+def test_requests_a_1d_mesh_lacks_exit_4(tmp_path, capsys):
+    lengths = [{"v": e, "L2": 1.0} for e in ([0, 1], [1, 2], [0, 2])]
+    p = write_doc(tmp_path, {"dimension": 1, "cells": [[0, 1], [1, 2], [2, 0]], "edge_lengths_sq": lengths}, "ring.json")
+    for argv in (["action", p], ["curvature", p], ["curvature", p, "--at", "vertices"], ["check", p]):
+        assert cli.main(argv) == 4, argv
+        assert capsys.readouterr().err.startswith("pfcurv: error:")
+    assert cli.main(["check", p, "--suite", "volumes"]) == 0
+    capsys.readouterr()
+
+
+def test_internal_value_error_does_not_exit_4(tmp_path, monkeypatch, ico):
+    # exit 4 answers unsupported requests; a stray ValueError is a bug
+    p = mesh_path(tmp_path, ico)
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a user error")
+
+    monkeypatch.setattr(cli, "regge_action", broken)
+    with pytest.raises(ValueError, match="not a user error"):
+        cli.main(["action", p])
+
+
+def test_undecodable_mesh_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"dimension": 2, "name": "Möbius"}'.encode("latin-1"))
+    assert cli.main(["info", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("pfcurv: error: cannot read JSON")
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ from pfcurv import (
     Cochain,
     DuplicateCell,
     MeshFileError,
+    MetricComplex,
     read_cochain,
     read_mesh,
     write_cochain,
@@ -94,6 +95,74 @@ def test_write_without_coordinates_omits_key(tmp_path):
     doc = json.loads(p.read_text())
     assert "coordinates" not in doc
     assert doc["cells"] == [[0, 1, 2]]
+
+
+def indent_1(doc):
+    """The writers' byte oracle: json.dump's indent-1 layout."""
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def mesh_doc(m):
+    c = m.complex
+    doc = {"dimension": c.dim, "cells": c.simplices[c.dim].tolist()}
+    if m.coordinates is not None:
+        doc["coordinates"] = np.asarray(m.coordinates, dtype=np.float64).tolist()
+    lengths = zip(c.simplices[1].tolist(), m.edge_lengths_sq.tolist())
+    doc["edge_lengths_sq"] = [{"v": e, "L2": v} for e, v in lengths]
+    return doc
+
+
+# floats whose JSON text is easy to get wrong
+AWKWARD = [0.0, -0.0, 1e-300, 5e-324, 1.0, math.pi, -1e300, 1e16, 2.5e-7, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("name", ["grid2", "ico", "perturbed_grid", "awkward_coordinates"])
+def test_write_mesh_is_json_dump_indent_1(tmp_path, request, name):
+    if name == "awkward_coordinates":
+        base = request.getfixturevalue("ico")
+        m = MetricComplex(base.complex, base.edge_lengths_sq)
+        m.coordinates = np.array(AWKWARD * 3).reshape(12, 3)
+    else:
+        m = request.getfixturevalue(name)
+    assert (m.coordinates is None) == (name == "perturbed_grid")
+    buf = io.StringIO()
+    write_mesh(buf, m)
+    assert buf.getvalue() == indent_1(mesh_doc(m))
+    p = tmp_path / "mesh.json"
+    write_mesh(p, m)
+    assert p.read_bytes() == indent_1(mesh_doc(m)).encode()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [AWKWARD, np.arange(12), np.arange(12) % 2 == 1, np.linspace(-1.0, 1.0, 12)],
+    ids=["awkward", "int", "bool", "float"],
+)
+def test_write_cochain_is_json_dump_indent_1(tmp_path, ico, values):
+    # integer and flag values print as floats: 1.0, not 1 or true
+    w = Cochain(ico, SIMPLICIAL, 0, values)
+    doc = {"lattice": "simplicial", "degree": 0, "values": [float(v) for v in values]}
+    buf = io.StringIO()
+    write_cochain(buf, w)
+    assert buf.getvalue() == indent_1(doc)
+    p = tmp_path / "w.json"
+    write_cochain(p, Cochain(ico, DUAL, 2, values))
+    assert p.read_bytes() == indent_1(dict(doc, lattice="dual", degree=2)).encode()
+
+
+def test_files_are_utf_8(tmp_path):
+    p = tmp_path / "named.json"
+    p.write_bytes(json.dumps(dict(TRIANGLE_DOC, name="Möbius"), ensure_ascii=False).encode("utf-8"))
+    assert read_mesh(p).dim == 2
+    p.write_bytes(json.dumps(dict(TRIANGLE_DOC, name="Möbius"), ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(MeshFileError, match="cannot read JSON"):
+        read_mesh(p)
+
+
+def test_coincident_coordinates():
+    doc = {"dimension": 2, "cells": [[0, 1, 2]], "coordinates": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
+    with pytest.raises(MeshFileError, match=r"edge \(1, 2\) has zero length"):
+        read_doc(doc)
 
 
 def test_explicit_lengths_take_precedence():
