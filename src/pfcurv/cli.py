@@ -16,6 +16,7 @@ the indent-1 layout of ``json.dump`` byte for byte.  Warnings print as
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
@@ -82,12 +83,12 @@ def _emit_table(args, columns: dict[str, np.ndarray]) -> None:
             cells = np.where(np.isfinite(v), v, None) if v.dtype.kind == "f" else v
             fields.append(meshfile.json_cells(cells.tolist()))
     if csv:
-        row = ",".join(formats) + "\n"
-        text = ",".join(columns) + "\n" + "".join(row % r for r in zip(*fields))
+        rows = meshfile.row_blocks(",".join(formats) + "\n", fields, "")
+        chunks = itertools.chain([",".join(columns) + "\n"], rows)
     else:
         keys = [f"  {json.dumps(name)}: {fmt}" for name, fmt in zip(columns, formats)]
-        text = meshfile.json_list(" {\n" + ",\n".join(keys) + "\n }", fields, "") + "\n"
-    meshfile.write_text(_output(args.output), text)
+        chunks = itertools.chain(meshfile.json_list(" {\n" + ",\n".join(keys) + "\n }", fields, ""), ["\n"])
+    meshfile.write_text(_output(args.output), chunks)
 
 
 # -- subcommands --------------------------------------------------------

@@ -154,19 +154,31 @@ class SimplicialComplex:
         The default weights, the boundary signs (-1)**j, make this the
         boundary B_k; :class:`~pfcurv.geometry.MetricComplex` passes its
         elevations for the chain step W_k.  Integer input with integer
-        weights stays integer.
+        weights stays integer.  Leading axes of ``x`` are a stack of
+        inputs, each applied on its own along the last axis.
         """
         table, weights = self._operator(k, weights)
-        vals = np.asarray(x)[:, None] * weights
-        out = np.zeros(self.n_simplices(k - 1), dtype=vals.dtype)
-        np.add.at(out, table.ravel(), vals.ravel())
+        x = np.asarray(x)
+        out = np.zeros(x.shape[:-1] + (self.n_simplices(k - 1),), dtype=np.result_type(x, weights))
+        for o, row in zip(out.reshape(-1, out.shape[-1]), x.reshape(-1, x.shape[-1])):
+            np.add.at(o, table.ravel(), (row[:, None] * weights).ravel())
         return out
 
     def gather(self, k: int, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Apply the transpose of :meth:`scatter`: entry s of the result
-        sums weights[s, j] y[f] over the facets f of the k-simplex s."""
+        sums weights[s, j] y[f] over the facets f of the k-simplex s,
+        along the last axis of ``y``.
+
+        The terms are added slot by slot, left to right (numpy's own order
+        for a row of up to 7 terms), with no (..., n, k+1) array of terms;
+        ``take`` keeps a stack C-ordered, where ``y[..., idx]`` would make
+        the stack axis the fastest.
+        """
         table, weights = self._operator(k, weights)
-        return (np.asarray(y)[table] * weights).sum(axis=1)
+        out = np.take(y, table[:, 0], axis=-1) * weights[..., 0]
+        for j in range(1, k + 1):
+            out += np.take(y, table[:, j], axis=-1) * weights[..., j]
+        return out
 
     def _operator(self, k: int, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """The facet table of the k-simplexes and its slot weights, by

@@ -9,6 +9,10 @@ volumes:
 
     <a, b> = sum_s density_a(s) density_b(s) V_s
 
+Values may carry leading axes, a stack of cochains on one skeleton with
+the elements along the last axis; every operator applies to each
+cochain of the stack, and the pairing gives one number per cochain.
+
 The exterior derivative is purely combinatorial (signed incidence sums,
 Stokes); the coderivative is its exact adjoint under the pairing above,
 which fixes both its sign convention and its volume weights.
@@ -32,9 +36,10 @@ DUAL = "dual"
 class Cochain:
     """Integrated values over the k-elements of one lattice.
 
-    ``values[i]`` is the pairing of the cochain with element i, where
-    dual elements are enumerated by their simplicial partners of
-    dimension d - k.
+    ``values[..., i]`` is the pairing of the cochain with element i,
+    where dual elements are enumerated by their simplicial partners of
+    dimension d - k; leading axes of ``values`` index a stack of
+    cochains.
     """
 
     metric: MetricComplex
@@ -50,7 +55,7 @@ class Cochain:
             raise ValueError(f"degree {self.degree} outside 0..{d}")
         # integer dtypes are kept so combinatorial identities stay exact
         object.__setattr__(self, "values", np.asarray(self.values))
-        if self.values.shape != (self.n_elements,):
+        if self.values.shape[-1:] != (self.n_elements,):
             raise ValueError(
                 f"expected {self.n_elements} values for degree {self.degree} "
                 f"on the {self.lattice} lattice, got {self.values.shape}"
@@ -178,18 +183,25 @@ def laplacian(w: Cochain) -> Cochain:
     return out
 
 
-def l2_measure(w: Cochain, index: int) -> float:
+def _per_cochain(x: np.ndarray) -> float | np.ndarray:
+    """A float for a single cochain, the array of values for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
+def l2_measure(w: Cochain, index: int) -> float | np.ndarray:
     """L2 measure of ``w`` over one element: density times hybrid volume,
     equal to <w, s> |*s| / C(d, k) on the simplicial lattice."""
-    dens = w.densities()
-    return float(dens[index] * w.hybrid_volumes()[index])
+    return _per_cochain(w.densities()[..., index] * w.hybrid_volumes()[index])
 
 
-def l2_inner_product(a: Cochain, b: Cochain) -> float:
-    """Hybrid-measure pairing of two cochains on the same skeleton."""
+def l2_inner_product(a: Cochain, b: Cochain) -> float | np.ndarray:
+    """Hybrid-measure pairing of two cochains on the same skeleton: a
+    float, or for stacks one pairing per cochain (stacks broadcast)."""
     if a.lattice != b.lattice or a.degree != b.degree or a.metric is not b.metric:
         raise ValueError("cochains live on different skeletons")
-    return float((a.densities() * b.densities() * a.hybrid_volumes()).sum())
+    # C order: each pairing sums its own contiguous row, in the 1-D order
+    terms = np.multiply(a.densities(), b.densities(), order="C")
+    return _per_cochain((terms * a.hybrid_volumes()).sum(axis=-1))
 
 
 def transfer_density(w: Cochain, target_lattice: str, target_degree: int = 1) -> Cochain:

@@ -15,13 +15,15 @@ ones to 1e-9 relative.  Coordinates are only ever used to derive squared
 lengths (and to serialize them back out).
 
 Files are UTF-8 in the indent-1 layout of ``json.dump``, written by the C
-encoder; shortest round-trip floats make write -> read exact bit for bit.
+encoder in blocks of rows; shortest round-trip floats make write -> read
+exact bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +33,9 @@ from .errors import MeshFileError
 from .geometry import MetricComplex
 
 LENGTH_AGREEMENT_RTOL = 1e-9
+# rows per written chunk: one write call per row costs twice the time,
+# one call per file holds the whole text in memory
+ROW_BLOCK = 2048
 
 
 def _load(path_or_file) -> Any:
@@ -43,13 +48,15 @@ def _load(path_or_file) -> Any:
         raise MeshFileError(f"cannot read JSON: {e}") from None
 
 
-def write_text(path_or_file, text: str) -> None:
-    """Write ``text`` to a file object, or to a path as UTF-8."""
+def write_text(path_or_file, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to a file object, or to a path as UTF-8."""
     if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
+        for chunk in chunks:
+            path_or_file.write(chunk)
     else:
         with open(path_or_file, "w", encoding="utf-8") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
 
 
 def json_cells(values: list) -> list[str]:
@@ -58,11 +65,29 @@ def json_cells(values: list) -> list[str]:
     return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n") if values else []
 
 
-def json_list(row: str, fields: list[list], pad: str = " ") -> str:
-    """The indent-1 ``json.dump`` text of a list whose items are ``row % r``
-    for r in ``zip(*fields)``; ``pad`` indents the closing bracket."""
-    items = ",\n".join(row % r for r in zip(*fields))
-    return f"[\n{items}\n{pad}]" if items else "[]"
+def row_blocks(row: str, fields: list[list], sep: str) -> Iterator[str]:
+    """``row % r`` for r in ``zip(*fields)`` joined by ``sep``, in chunks of
+    ``ROW_BLOCK`` rows; each chunk after the first starts with ``sep``."""
+    rows = zip(*fields)
+    lead = ""
+    while block := [row % r for r in itertools.islice(rows, ROW_BLOCK)]:
+        yield lead + sep.join(block)
+        lead = sep
+
+
+def json_list(row: str, fields: list[list], pad: str = " ") -> Iterator[str]:
+    """The indent-1 ``json.dump`` text, in chunks, of a list whose items
+    are ``row % r`` for r in ``zip(*fields)``; ``pad`` indents the closing
+    bracket."""
+    blocks = row_blocks(row, fields, ",\n")
+    first = next(blocks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n"
+    yield first
+    yield from blocks
+    yield f"\n{pad}]"
 
 
 def _cell_array(cells: list, dim: int) -> np.ndarray:
@@ -174,17 +199,22 @@ def read_mesh(path_or_file) -> MetricComplex:
 
 def write_mesh(path_or_file, m: MetricComplex) -> None:
     """Serialize a metric complex; inverse of :func:`read_mesh` bit for bit."""
+    write_text(path_or_file, _mesh_chunks(m))
+
+
+def _mesh_chunks(m: MetricComplex) -> Iterator[str]:
     c = m.complex
     arrays = {"cells": c.simplices[c.dim].T.tolist()}  # each as its columns
     if m.coordinates is not None:
         arrays["coordinates"] = [json_cells(x) for x in np.asarray(m.coordinates, float).T.tolist()]
-    text = f'{{\n "dimension": {c.dim}'
+    yield f'{{\n "dimension": {c.dim}'
     for key, cols in arrays.items():
-        row = "  [\n" + ",\n".join(["   %s"] * len(cols)) + "\n  ]"
-        text += f',\n "{key}": {json_list(row, cols)}'
+        yield f',\n "{key}": '
+        yield from json_list("  [\n" + ",\n".join(["   %s"] * len(cols)) + "\n  ]", cols)
+    yield ',\n "edge_lengths_sq": '
     edge = '  {\n   "v": [\n    %d,\n    %d\n   ],\n   "L2": %s\n  }'
-    lengths = json_list(edge, [*c.simplices[1].T.tolist(), json_cells(m.edge_lengths_sq.tolist())])
-    write_text(path_or_file, f'{text},\n "edge_lengths_sq": {lengths}\n}}\n')
+    yield from json_list(edge, [*c.simplices[1].T.tolist(), json_cells(m.edge_lengths_sq.tolist())])
+    yield "\n}\n"
 
 
 def read_cochain(path_or_file, m: MetricComplex) -> Cochain:
@@ -209,6 +239,8 @@ def read_cochain(path_or_file, m: MetricComplex) -> Cochain:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise MeshFileError("values must be numeric") from None
+    if arr.ndim != 1:  # a file holds one cochain, not a stack
+        raise MeshFileError("values must be a flat list of numbers")
     try:
         return Cochain(m, lattice, degree, arr)
     except ValueError as e:
@@ -216,6 +248,10 @@ def read_cochain(path_or_file, m: MetricComplex) -> Cochain:
 
 
 def write_cochain(path_or_file, w: Cochain) -> None:
+    """Write one cochain in the layout :func:`read_cochain` reads; a stack
+    of cochains raises ``ValueError``."""
+    if w.values.ndim != 1:
+        raise ValueError(f"a cochain file holds one cochain, got values of shape {w.values.shape}")
     values = json_list("  %s", [json_cells(w.values.astype(np.float64).tolist())])
-    head = f'{{\n "lattice": {json.dumps(w.lattice)},\n "degree": {w.degree}'
-    write_text(path_or_file, f'{head},\n "values": {values}\n}}\n')
+    head = f'{{\n "lattice": {json.dumps(w.lattice)},\n "degree": {w.degree},\n "values": '
+    write_text(path_or_file, itertools.chain([head], values, ["\n}\n"]))

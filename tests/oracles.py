@@ -2,9 +2,10 @@
 
 Apart from :func:`dihedral_qr`, the per-pair length-only angle kept as
 the reference for the batched dihedral table, :func:`boundary_matrix`,
-the dense signed incidence built from vertex tuples, and the per-element
+the dense signed incidence built from vertex tuples, the per-element
 chain-sum loops kept as the reference for the matrix-free elevation
-operators, everything here works on an explicit vertex embedding and
+operators, and :func:`looped_adjointness`, the one-sample-at-a-time
+reference for the batched adjointness check, everything here works on an explicit vertex embedding and
 never touches the length-only pipeline: volumes come from Gram
 determinants of edge vectors, circumcenters from the normal equations in
 the affine hull, and dual volumes from signed distances between global
@@ -20,12 +21,18 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from pfcurv import (
+    DUAL,
+    SIMPLICIAL,
     BoundaryElement,
+    Cochain,
     MetricComplex,
     SimplexId,
     ZeroMeasureElement,
     build_complex,
+    coderivative,
     deficit,
+    exterior_derivative,
+    l2_inner_product,
     sectional,
 )
 
@@ -378,3 +385,35 @@ def periodic_torus(dim: int, n: int):
             assert l2[e] in (0.0, j - i)
             l2[e] = j - i
     return MetricComplex(c, l2)
+
+
+def looped_adjointness(m, *, seed: int = 0, samples: int = 20) -> float:
+    """The "measured adjointness" residual of ``suites.dec_checks``, one
+    (a, b) pair of single cochains at a time: the worst of
+    |<d a, b> - <a, delta b>| / max(|<d a, b>|, |<a, delta b>|, 1).
+
+    The random stream is consumed as in ``dec_checks``: the integer
+    cochains of its d-after-d check first (d >= 2), then per lattice and
+    degree k, ``samples`` times an a on the k-elements and a b on the
+    (k+1)-elements.
+    """
+    d = m.dim
+    c = m.complex
+    rng = np.random.default_rng(seed)
+    for lattice in (SIMPLICIAL, DUAL) if d >= 2 else ():
+        for k in range(d - 1):
+            rng.integers(-9, 10, size=c.n_simplices(k if lattice == SIMPLICIAL else d - k))
+    worst = 0.0
+    for lattice in (SIMPLICIAL, DUAL):
+        for k in range(d):
+            kp = k if lattice == SIMPLICIAL else d - k
+            n1 = c.n_simplices(kp)
+            n2 = c.n_simplices(kp + 1 if lattice == SIMPLICIAL else kp - 1)
+            for _ in range(samples):
+                a = Cochain(m, lattice, k, rng.standard_normal(n1))
+                b = Cochain(m, lattice, k + 1, rng.standard_normal(n2))
+                lhs = l2_inner_product(exterior_derivative(a), b)
+                rhs = l2_inner_product(a, coderivative(b))
+                scale = max(abs(lhs), abs(rhs), 1.0)
+                worst = max(worst, abs(lhs - rhs) / scale)
+    return worst

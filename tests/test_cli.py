@@ -225,8 +225,14 @@ def test_every_volumes_cell_reads_back(tmp_path, capsys, request, fixture):
 AWKWARD = [0.0, -0.0, 1e-300, 5e-324, 1.0, math.pi, -1e300, 1e16, 2.5e-7, math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("n", [len(AWKWARD), 0])
-def test_json_table_is_json_dump_indent_1(tmp_path, capsys, n):
+# a row block of 4 or 5 splits the 12 rows into full and partial chunks
+@pytest.mark.parametrize(
+    "n, block", [(len(AWKWARD), None), (0, None), (len(AWKWARD), 4), (len(AWKWARD), 5)],
+    ids=["12", "0", "12-block4", "12-block5"],
+)
+def test_json_table_is_json_dump_indent_1(tmp_path, capsys, monkeypatch, n, block):
+    if block:
+        monkeypatch.setattr(meshfile, "ROW_BLOCK", block)
     ids = np.arange(3 * n).reshape(n, 3)[:, ::-1]
     columns = {
         "index": np.arange(n),
@@ -542,6 +548,17 @@ def test_requests_a_1d_mesh_lacks_exit_4(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("pfcurv: error:")
     assert cli.main(["check", p, "--suite", "volumes"]) == 0
     capsys.readouterr()
+
+
+def test_check_dec_runs_on_a_cycle(tmp_path, capsys):
+    lengths = [{"v": e, "L2": x} for e, x in (([0, 1], 1.0), ([1, 2], 2.0), ([2, 3], 1.5), ([0, 3], 0.5))]
+    p = write_doc(tmp_path, {"dimension": 1, "cells": [[0, 1], [1, 2], [2, 3], [3, 0]], "edge_lengths_sq": lengths}, "cycle.json")
+    assert cli.main(["check", p, "--suite", "dec"]) == 0
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["PASS measured adjointness", "PASS hodge round trip", "PASS hodge density preservation"]
+    # the curvature suite needs d >= 2
+    assert cli.main(["check", p, "--suite", "all"]) == 4
+    assert "dimension >= 2" in capsys.readouterr().err
 
 
 def test_internal_value_error_does_not_exit_4(tmp_path, monkeypatch, ico):

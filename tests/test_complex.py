@@ -236,3 +236,21 @@ def test_orientability():
 def test_euler_characteristic_closed(ico, cell5):
     assert ico.complex.euler_characteristic() == 2
     assert cell5.complex.euler_characteristic() == 0
+
+
+@pytest.mark.parametrize("name", ["ico", "cell5", "perturbed_grid4"])
+def test_gather_sums_each_row_as_numpy_does(name, request):
+    # the reference is the whole (..., n, k+1) array of terms reduced by
+    # numpy; gather adds the slots in the same order without building it
+    m = request.getfixturevalue(name)
+    c = m.complex
+    rng = np.random.default_rng(6)
+    for k in range(1, c.dim + 1):
+        table = c.facets[k]
+        for weights in (None, m._elev[k]):
+            w = (-1) ** np.arange(k + 1) if weights is None else weights
+            for shape in ((c.n_simplices(k - 1),), (3, c.n_simplices(k - 1))):
+                y = rng.standard_normal(shape) * np.exp(4.0 * rng.standard_normal(shape))
+                got = c.gather(k, y, weights)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == (y[..., table] * w).sum(axis=-1).tobytes()

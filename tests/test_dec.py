@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from pfcurv import (
     DUAL,
     SIMPLICIAL,
@@ -20,6 +21,7 @@ from pfcurv import (
     laplacian,
     transfer_density,
 )
+from pfcurv.suites import dec_checks
 
 
 def test_cochain_length_validation(ico):
@@ -264,3 +266,95 @@ def test_densities_blocked_by_zero_measure(grid2):
     w = Cochain(grid2, DUAL, 1, np.ones(grid2.complex.n_simplices(1)))
     with pytest.raises(ZeroMeasureElement):
         w.densities()
+
+
+# one fixture per dimension 1..4, with and without boundary
+STACK_MESHES = ["long_cycle", "ico", "cell5", "perturbed_grid", "simplex5_boundary", "perturbed_grid4"]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _stack_ops(m, lattice, k):
+    """Every operator that applies to a degree-k cochain on ``lattice``."""
+    d = m.dim
+    ops = {"hodge": hodge, "laplacian": laplacian}
+    if k < d:
+        ops["exterior_derivative"] = exterior_derivative
+    if k > 0:
+        ops["coderivative"] = coderivative
+    if k == 1 and d >= 2:
+        other = DUAL if lattice == SIMPLICIAL else SIMPLICIAL
+        ops["transfer_density"] = lambda w: transfer_density(w, other)
+    return ops
+
+
+@pytest.mark.parametrize("name", STACK_MESHES)
+def test_stacked_cochains_match_row_by_row(request, name):
+    m = request.getfixturevalue(name)
+    d = m.dim
+    rng = np.random.default_rng(8)
+    for lattice in (SIMPLICIAL, DUAL):
+        for k in range(d + 1):
+            n = m.complex.n_simplices(k if lattice == SIMPLICIAL else d - k)
+            stack = Cochain(m, lattice, k, rng.standard_normal((5, n)))
+            rows = [Cochain(m, lattice, k, v) for v in stack.values]
+            for op_name, op in _stack_ops(m, lattice, k).items():
+                got = op(stack)
+                want = [op(r) for r in rows]
+                assert (got.lattice, got.degree) == (want[0].lattice, want[0].degree), op_name
+                assert_same_bits(got.values, np.stack([w.values for w in want]))
+                # the pairing sums each row of an operator's output in the 1-D order
+                assert l2_inner_product(got, got).tolist() == [l2_inner_product(w, w) for w in want], op_name
+            other = Cochain(m, lattice, k, rng.standard_normal((5, n)))
+            other_rows = [Cochain(m, lattice, k, v) for v in other.values]
+            pairs = l2_inner_product(stack, other)
+            assert pairs.shape == (5,)
+            assert pairs.tolist() == [l2_inner_product(r, o) for r, o in zip(rows, other_rows)]
+            # a single cochain pairs with every cochain of a stack
+            assert l2_inner_product(rows[0], other).tolist() == [l2_inner_product(rows[0], o) for o in other_rows]
+            assert l2_measure(stack, 3).tolist() == [l2_measure(r, 3) for r in rows]
+            fortran = Cochain(m, lattice, k, np.asfortranarray(stack.values))
+            assert l2_inner_product(fortran, fortran).tolist() == [l2_inner_product(r, r) for r in rows]
+
+
+@pytest.mark.parametrize("name", STACK_MESHES)
+def test_integer_stacks_stay_integer_through_d_after_d(request, name):
+    m = request.getfixturevalue(name)
+    d = m.dim
+    rng = np.random.default_rng(9)
+    for lattice in (SIMPLICIAL, DUAL):
+        for k in range(d - 1):
+            n = m.complex.n_simplices(k if lattice == SIMPLICIAL else d - k)
+            w = Cochain(m, lattice, k, rng.integers(-9, 10, size=(5, n)))
+            dw = exterior_derivative(w)
+            dd = exterior_derivative(dw)
+            assert dw.values.dtype.kind == dd.values.dtype.kind == "i"
+            assert dd.values.shape == (5, m.complex.n_simplices(k + 2 if lattice == SIMPLICIAL else d - k - 2))
+            assert not dd.values.any()
+            for row, v in zip(dw.values, w.values):
+                assert_same_bits(row, exterior_derivative(Cochain(m, lattice, k, v)).values)
+
+
+def test_single_cochains_give_floats_and_stacks_arrays(ico):
+    w = Cochain(ico, SIMPLICIAL, 0, np.arange(12.0))
+    assert type(l2_inner_product(w, w)) is float
+    assert type(l2_measure(w, 0)) is float
+    stack = Cochain(ico, SIMPLICIAL, 0, np.arange(24.0).reshape(2, 1, 12))
+    assert l2_inner_product(stack, stack).shape == (2, 1)
+    assert exterior_derivative(stack).values.shape == (2, 1, 30)
+    with pytest.raises(ValueError):
+        Cochain(ico, SIMPLICIAL, 0, np.zeros((12, 2)))  # elements go last
+    with pytest.raises(ValueError):
+        Cochain(ico, SIMPLICIAL, 0, np.float64(0.0))
+
+
+@pytest.mark.parametrize("name", STACK_MESHES)
+def test_batched_adjointness_check_equals_the_looped_one(request, name):
+    # the same draws, paired sample by sample, give the same worst residual
+    m = request.getfixturevalue(name)
+    for seed in (0, 3):
+        (got,) = [r.residual for r in dec_checks(m, seed=seed) if r.name == "measured adjointness"]
+        assert got == oracles.looped_adjointness(m, seed=seed)

@@ -13,6 +13,7 @@ from pfcurv import (
     DuplicateCell,
     MeshFileError,
     MetricComplex,
+    meshfile,
     read_cochain,
     read_mesh,
     write_cochain,
@@ -116,8 +117,16 @@ def mesh_doc(m):
 AWKWARD = [0.0, -0.0, 1e-300, 5e-324, 1.0, math.pi, -1e300, 1e16, 2.5e-7, math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("name", ["grid2", "ico", "perturbed_grid", "awkward_coordinates"])
-def test_write_mesh_is_json_dump_indent_1(tmp_path, request, name):
+# a row block of 4 or 5 splits the rows into full and partial chunks
+@pytest.mark.parametrize(
+    "name, block",
+    [("grid2", None), ("ico", None), ("perturbed_grid", None), ("awkward_coordinates", None),
+     ("awkward_coordinates", 4), ("awkward_coordinates", 5)],
+    ids=["grid2", "ico", "perturbed_grid", "awkward_coordinates", "awkward_coordinates-block4", "awkward_coordinates-block5"],
+)
+def test_write_mesh_is_json_dump_indent_1(tmp_path, request, monkeypatch, name, block):
+    if block:
+        monkeypatch.setattr(meshfile, "ROW_BLOCK", block)
     if name == "awkward_coordinates":
         base = request.getfixturevalue("ico")
         m = MetricComplex(base.complex, base.edge_lengths_sq)
@@ -134,11 +143,14 @@ def test_write_mesh_is_json_dump_indent_1(tmp_path, request, name):
 
 
 @pytest.mark.parametrize(
-    "values",
-    [AWKWARD, np.arange(12), np.arange(12) % 2 == 1, np.linspace(-1.0, 1.0, 12)],
-    ids=["awkward", "int", "bool", "float"],
+    "values, block",
+    [(AWKWARD, None), (np.arange(12), None), (np.arange(12) % 2 == 1, None), (np.linspace(-1.0, 1.0, 12), None),
+     (AWKWARD, 4), (AWKWARD, 5)],
+    ids=["awkward", "int", "bool", "float", "awkward-block4", "awkward-block5"],
 )
-def test_write_cochain_is_json_dump_indent_1(tmp_path, ico, values):
+def test_write_cochain_is_json_dump_indent_1(tmp_path, monkeypatch, ico, values, block):
+    if block:
+        monkeypatch.setattr(meshfile, "ROW_BLOCK", block)
     # integer and flag values print as floats: 1.0, not 1 or true
     w = Cochain(ico, SIMPLICIAL, 0, values)
     doc = {"lattice": "simplicial", "degree": 0, "values": [float(v) for v in values]}
@@ -332,6 +344,8 @@ def test_cochain_handles(ico):
         {"values": "many"},
         {"values": [0.0]},  # wrong length
         {"values": [0.0, "x"]},
+        {"values": [[0.0] * 12] * 2},  # a stack of cochains
+        {"values": [[0.0] * 12]},
     ],
 )
 def test_bad_cochain_documents(ico, patch):
@@ -343,6 +357,17 @@ def test_bad_cochain_documents(ico, patch):
     doc.update(patch)
     with pytest.raises(MeshFileError):
         read_cochain(io.StringIO(json.dumps(doc)), ico)
+
+
+def test_write_cochain_rejects_a_stack(tmp_path, ico):
+    w = Cochain(ico, SIMPLICIAL, 0, np.zeros((2, 12)))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="one cochain"):
+        write_cochain(buf, w)
+    assert buf.getvalue() == ""
+    with pytest.raises(ValueError, match="one cochain"):
+        write_cochain(tmp_path / "w.json", Cochain(ico, SIMPLICIAL, 0, np.zeros((1, 12))))
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_cochain_missing_key(ico):

@@ -1,8 +1,8 @@
 import pytest
 
 import oracles
-from pfcurv import gen_boundary_of_simplex, gen_icosphere
-from pfcurv.suites import CheckResult, curvature_checks, run_suite, volume_checks
+from pfcurv import MetricComplex, build_complex, gen_boundary_of_simplex, gen_icosphere
+from pfcurv.suites import CheckResult, curvature_checks, dec_checks, run_suite, volume_checks
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pfcurv.errors.NonWellCenteredWarning"
@@ -30,6 +30,19 @@ def test_all_suites_pass_on_flat_and_perturbed(grid3, perturbed_grid):
         results = run_suite(m, "all")
         for r in results:
             assert r.passed, f"{r.name}: residual {r.residual} tol {r.tol}"
+
+
+def test_dec_suite_on_a_cycle():
+    # d=1: no degree k + 2 for d after d and no transfer between the
+    # lattices; the adjointness and Hodge checks still apply
+    c = build_complex(1, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    m = MetricComplex(c, [1.0, 0.5, 2.0, 1.5])
+    results = dec_checks(m)
+    assert [r.name for r in results] == ["measured adjointness", "hodge round trip", "hodge density preservation"]
+    assert all(r.passed for r in results)
+    assert results[0].residual == oracles.looped_adjointness(m)
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        run_suite(m, "all")
 
 
 def test_suite_selection(ico):
