@@ -170,7 +170,13 @@ def coderivative(w: Cochain) -> Cochain:
 
 
 def laplacian(w: Cochain) -> Cochain:
-    """Convenience composition d delta + delta d (ends handled)."""
+    """Convenience composition d delta + delta d (ends handled).
+
+    On 0-forms, Delta_0 tends to Delta_LB / d under refinement, not to
+    the Laplace-Beltrami operator itself: the edge hybrid volume
+    |e| |*e| / d carries a factor 1/d that the vertex volume |*v| does
+    not.  On the unit 2-sphere the eigenvalues tend to l(l+1)/2.
+    """
     d = w.metric.dim
     out = None
     if w.degree < d:

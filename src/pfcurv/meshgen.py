@@ -41,20 +41,15 @@ def gen_flat_grid(dim: int, n: int) -> MetricComplex:
         raise UnsupportedRequest("flat grids need dimension >= 2")
     if n < 1:
         raise UnsupportedRequest("need at least one cell per axis")
-    axes = [np.arange(n + 1)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    vid = {tuple(p): i for i, p in enumerate(grid)}
-    cells = []
-    for corner in itertools.product(range(n), repeat=dim):
-        base = np.array(corner)
-        for perm in itertools.permutations(range(dim)):
-            walk = [base]
-            for ax in perm:
-                step = walk[-1].copy()
-                step[ax] += 1
-                walk.append(step)
-            cells.append([vid[tuple(p)] for p in walk])
-    return _from_coordinates(dim, grid.astype(np.float64), cells)
+    corners = np.indices((n,) * dim).reshape(dim, -1).T
+    perms = np.array(list(itertools.permutations(range(dim))))
+    # row p lists the dim + 1 offsets of the Kuhn walk that steps along perms[p]
+    walk = np.cumsum(np.eye(dim, dtype=int)[perms], axis=1)
+    walk = np.concatenate([np.zeros((len(perms), 1, dim), dtype=int), walk], axis=1)
+    steps = corners[:, None, None, :] + walk
+    cells = np.ravel_multi_index(np.moveaxis(steps, -1, 0), (n + 1,) * dim)
+    grid = np.indices((n + 1,) * dim).reshape(dim, -1).T
+    return _from_coordinates(dim, grid.astype(np.float64), cells.reshape(-1, dim + 1))
 
 
 def gen_boundary_of_simplex(ambient_dim: int) -> MetricComplex:
@@ -91,37 +86,28 @@ def gen_icosphere(level: int, radius: float = 1.0) -> MetricComplex:
         raise UnsupportedRequest("radius must be positive and finite")
     pts = _icosahedron_points()
     # faces: triangles whose three pairwise distances all equal the edge
-    edge2 = 1.0 + 1e-9
-    n = len(pts)
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    faces = [
-        (i, j, k)
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-        if d2[i, j] < edge2 and d2[i, k] < edge2 and d2[j, k] < edge2
-    ]
+    faces = np.array(list(itertools.combinations(range(len(pts)), 3)))
+    faces = faces[(d2[faces, np.roll(faces, -1, axis=1)] < 1.0 + 1e-9).all(axis=1)]
+
     def project(p):
-        p = np.asarray(p, dtype=np.float64)
-        return tuple(radius * p / np.linalg.norm(p))
+        # a matrix product keeps the bits of np.linalg.norm(row); norm(axis=1) does not
+        return radius * p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
 
-    pts = [project(p) for p in pts]
+    pts = project(pts)
     for _ in range(level):
-        mid: dict[tuple[int, int], int] = {}
-
-        def midpoint(a: int, b: int) -> int:
-            key = (min(a, b), max(a, b))
-            if key not in mid:
-                pts.append(project((np.array(pts[a]) + np.array(pts[b])) / 2.0))
-                mid[key] = len(pts) - 1
-            return mid[key]
-
-        nxt = []
-        for i, j, k in faces:
-            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            nxt += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
-        faces = nxt
-    return _from_coordinates(2, np.array(pts), faces)
+        # the edges ij, jk, ki of every face, numbered by first encounter
+        ends = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1), axis=-1)
+        _, first, inverse = np.unique(
+            ends[..., 0] * len(pts) + ends[..., 1], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        a, b = ends.reshape(-1, 2)[first[order]].T
+        (i, j, k), (ij, jk, ki) = faces.T, (len(pts) + rank[inverse.reshape(-1, 3)]).T
+        pts = np.concatenate([pts, project((pts[a] + pts[b]) / 2.0)])
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki], axis=1).reshape(-1, 3)
+    return _from_coordinates(2, pts, faces)
 
 
 def perturb_lengths(m: MetricComplex, amplitude: float, seed: int) -> MetricComplex:

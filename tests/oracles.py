@@ -4,13 +4,15 @@ Apart from :func:`dihedral_qr`, the per-pair length-only angle kept as
 the reference for the batched dihedral table, :func:`boundary_matrix`,
 the dense signed incidence built from vertex tuples, the per-element
 chain-sum loops kept as the reference for the matrix-free elevation
-operators, and :func:`looped_adjointness`, the one-sample-at-a-time
-reference for the batched adjointness check, everything here works on an explicit vertex embedding and
-never touches the length-only pipeline: volumes come from Gram
-determinants of edge vectors, circumcenters from the normal equations in
-the affine hull, and dual volumes from signed distances between global
-circumcenters.  Agreement with the package is therefore a genuine
-cross-check, not a tautology.
+operators, :func:`looped_adjointness`, the one-sample-at-a-time
+reference for the batched adjointness check, and :func:`flat_grid_loop`
+and :func:`icosphere_loop`, the loop generators kept as the reference
+for the array-arithmetic ones, everything here works on an explicit
+vertex embedding and never touches the length-only pipeline: volumes
+come from Gram determinants of edge vectors, circumcenters from the
+normal equations in the affine hull, and dual volumes from signed
+distances between global circumcenters.  Agreement with the package is
+therefore a genuine cross-check, not a tautology.
 """
 
 import functools
@@ -35,6 +37,7 @@ from pfcurv import (
     l2_inner_product,
     sectional,
 )
+from pfcurv.meshgen import _from_coordinates, _icosahedron_points
 
 
 def simplex_volume(points: np.ndarray) -> float:
@@ -385,6 +388,64 @@ def periodic_torus(dim: int, n: int):
             assert l2[e] in (0.0, j - i)
             l2[e] = j - i
     return MetricComplex(c, l2)
+
+
+def flat_grid_loop(dim: int, n: int) -> MetricComplex:
+    """``gen_flat_grid`` one cell at a time: a dict from lattice point to
+    vertex id, and for every corner in ``itertools.product`` order one
+    Freudenthal walk per permutation."""
+    axes = [np.arange(n + 1)] * dim
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    vid = {tuple(p): i for i, p in enumerate(grid)}
+    cells = []
+    for corner in itertools.product(range(n), repeat=dim):
+        base = np.array(corner)
+        for perm in itertools.permutations(range(dim)):
+            walk = [base]
+            for ax in perm:
+                step = walk[-1].copy()
+                step[ax] += 1
+                walk.append(step)
+            cells.append([vid[tuple(p)] for p in walk])
+    return _from_coordinates(dim, grid.astype(np.float64), cells)
+
+
+def icosphere_loop(level: int, radius: float = 1.0) -> MetricComplex:
+    """``gen_icosphere`` one face at a time: a dict of edge midpoints
+    numbered by first encounter, and one ``np.linalg.norm`` per point."""
+    pts = _icosahedron_points()
+    edge2 = 1.0 + 1e-9
+    n = len(pts)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    faces = [
+        (i, j, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+        if d2[i, j] < edge2 and d2[i, k] < edge2 and d2[j, k] < edge2
+    ]
+
+    def project(p):
+        p = np.asarray(p, dtype=np.float64)
+        return tuple(radius * p / np.linalg.norm(p))
+
+    pts = [project(p) for p in pts]
+    for _ in range(level):
+        mid: dict[tuple[int, int], int] = {}
+
+        def midpoint(a: int, b: int) -> int:
+            key = (min(a, b), max(a, b))
+            if key not in mid:
+                pts.append(project((np.array(pts[a]) + np.array(pts[b])) / 2.0))
+                mid[key] = len(pts) - 1
+            return mid[key]
+
+        nxt = []
+        for i, j, k in faces:
+            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            nxt += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
+        faces = nxt
+    return _from_coordinates(2, np.array(pts), faces)
 
 
 def looped_adjointness(m, *, seed: int = 0, samples: int = 20) -> float:

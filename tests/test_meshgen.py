@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from pfcurv import DegenerateSimplex, NonWellCenteredWarning, perturb_lengths
 from pfcurv.meshgen import gen_boundary_of_simplex, gen_flat_grid, gen_icosphere
 from pfcurv.suites import run_suite
@@ -107,6 +108,27 @@ def test_icosphere_validation():
         gen_icosphere(7)
     with pytest.raises(ValueError):
         gen_icosphere(0, radius=0.0)
+
+
+def _assert_same_mesh(m, ref):
+    assert np.array_equal(m.coordinates, ref.coordinates)
+    for k in range(m.dim + 1):
+        assert np.array_equal(m.complex.simplices[k], ref.complex.simplices[k])
+    assert np.array_equal(m.edge_lengths_sq, ref.edge_lengths_sq)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_grid_matches_loop_oracle(dim, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        _assert_same_mesh(gen_flat_grid(dim, n), oracles.flat_grid_loop(dim, n))
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("radius", [1.0, 2.5, 1e-3])
+def test_icosphere_matches_loop_oracle(level, radius):
+    _assert_same_mesh(gen_icosphere(level, radius), oracles.icosphere_loop(level, radius))
 
 
 def test_perturb_reproducible(grid2):
