@@ -9,7 +9,8 @@ the inner products of its edge vectors from vertex 0.  One batched,
 scale-free L D L^T factor of G per simplex (:func:`simplex_gram`) gives
 the volume, the circumcenter, the elevations, the dihedral angles and
 local coordinates, so every derived quantity is intrinsic and needs no
-global embedding.
+global embedding.  Matrix entries are held as component planes, one numpy call
+across all simplexes each; sums of products add left to right in index order.
 
 The dual complex is circumcentric: the dual cell of a k-simplex s is made
 of the simplexes spanned by the circumcenters along ascending chains
@@ -46,8 +47,8 @@ ZERO_MEASURE_TOL = 1e-300
 class SimplexGram(NamedTuple):
     """Per-simplex results of :func:`simplex_gram` for n k-simplexes."""
 
-    L: np.ndarray  # (n, k, k) unit lower triangular, G / s = L diag(p) L^T
-    p: np.ndarray  # (n, k) pivots
+    L: np.ndarray  # (k, k, n) unit lower triangular planes, G / s = L diag(p) L^T
+    p: np.ndarray  # (k, n) pivots
     exp: np.ndarray  # (n,) s = 2**exp
     degenerate: np.ndarray  # (n,) vol^2 <= DEGENERACY_TOL * (max l2)^k, or NaN
     volume: np.ndarray  # (n,) inf, 0 or subnormal where float64 cannot hold it
@@ -55,21 +56,15 @@ class SimplexGram(NamedTuple):
     circumradius_sq: np.ndarray  # (n,)
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """X with L X = B (L^T X = B with ``transpose``) for unit lower triangular L (n, k, k)."""
-    if transpose:  # L^T is L with its index order reversed
-        return _solve_lower(L.swapaxes(1, 2)[:, ::-1, ::-1], B[:, ::-1])[:, ::-1]
-    X = np.array(B, dtype=np.float64)
-    for i in range(1, L.shape[1]):
-        X[:, i] -= np.einsum("nj,nj...->n...", L[:, i, :i], X[:, :i])
-    return X
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... over the leading axis, added left to right."""
+    return functools.reduce(np.add, terms)
 
 
 def simplex_gram(pair_l2: np.ndarray, k: int) -> SimplexGram:
-    """Volumes, circumcenters and Gram factors of n k-simplexes from their
-    squared edge lengths ``pair_l2`` (n, C(k+1, 2)), pairs in
-    ``itertools.combinations`` order.  Never raises; degenerate simplexes
-    are flagged.
+    """Volumes, circumcenters and Gram factors of n k-simplexes from their squared
+    edge lengths ``pair_l2`` (C(k+1, 2), n), pairs in ``itertools.combinations``
+    order.  Never raises; degenerate simplexes are flagged.
 
     Each Gram matrix G is divided by s, the largest power of two not above
     the simplex's largest squared length, so nothing over- or underflows
@@ -82,32 +77,34 @@ def simplex_gram(pair_l2: np.ndarray, k: int) -> SimplexGram:
     volumes of the faces on vertices 0..j and 0..j-1, so once every
     lower-dimensional face passes, prod(p) > 0 means all pivots are.
     """
-    n = pair_l2.shape[0]
-    lmax = pair_l2.max(axis=1)
+    pair_l2 = np.ascontiguousarray(pair_l2)  # one contiguous (n,) row per pair
+    lmax = pair_l2.max(axis=0)
     exp = np.frexp(lmax)[1] - 1
-    q = np.ldexp(pair_l2, -exp[:, None])
-    D2 = np.zeros((n, k + 1, k + 1))
-    for col, (a, b) in enumerate(itertools.combinations(range(k + 1), 2)):
-        D2[:, a, b] = D2[:, b, a] = q[:, col]
-    G = (D2[:, :1, 1:] + D2[:, 1:, :1] - D2[:, 1:, 1:]) / 2.0
-    L = np.zeros((n, k, k))
-    p = np.empty((n, k))
-    with np.errstate(all="ignore"):  # degenerate rows are flagged, not raised
-        for j in range(k):
-            v = G[:, j:, j] - np.einsum("nim,nm->ni", L[:, j:, :j], L[:, j, :j] * p[:, :j])
-            p[:, j] = v[:, 0]
-            L[:, j:, j] = v / v[:, :1]
-        vol_sq = p.prod(axis=1) / math.factorial(k) ** 2  # in units of s^k
+    q = np.ldexp(pair_l2, -exp)
+    # L starts as the lower triangle of G / s; pairs of vertices 1..k are q[k:]
+    a, b = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
+    p = np.empty_like(q[:k])
+    L = np.zeros((k,) + p.shape)
+    L[range(k), range(k)], L[b, a] = q[:k], (q[a] + q[b] - q[k:]) / 2.0
+    with np.errstate(all="ignore"):  # degenerate simplexes are flagged, not raised
+        for j in range(k):  # column j: G_ij - sum_m L_im L_jm p_m over m < j
+            v = L[j:, j] - _sum((L[j:, :j] * (L[j, :j] * p[:j])).swapaxes(0, 1)) if j else L[:, 0]
+            p[j] = v[0]
+            L[j:, j] = v / v[0]
+        vol_sq = functools.reduce(np.multiply, p) / math.factorial(k) ** 2  # in units of s^k
         degenerate = ~(vol_sq > DEGENERACY_TOL * np.ldexp(lmax, -exp) ** k)
         # vol = sqrt(vol_sq * s^k), s^k applied as an exact power of two
         ke = k * exp
         volume = np.ldexp(np.sqrt(vol_sq * (1 + (ke & 1))), ke >> 1)
-        # with vertex 0 at the origin the circumcenter sum_i lam_i x_i
-        # solves G lam = diag(G) / 2; R^2 = lam . diag(G) / 2 = sum y^2 / p
-        y = _solve_lower(L, q[:, :k] / 2.0)
-        lam = _solve_lower(L, y / p, transpose=True)
-        r2 = np.ldexp((y * y / p).sum(axis=1), exp)
-    bary = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+        # circumcenter: L y = diag(G) / 2, L^T lam = y / p (vertex 0 at 0); R^2 = sum y^2 / p
+        y = q[:k] / 2.0
+        for i in range(1, k):
+            y[i] -= _sum(L[i, :i] * y[:i])
+        lam = y / p
+        for i in range(k - 2, -1, -1):
+            lam[i] -= _sum(L[i + 1:, i] * lam[i + 1:])
+        r2 = np.ldexp(_sum(y * y / p), exp)
+    bary = np.vstack([1.0 - _sum(lam), lam]).T.copy()
     return SimplexGram(L, p, exp, degenerate, volume, bary, r2)
 
 
@@ -169,12 +166,12 @@ class MetricComplex:
         self._elev: list[np.ndarray | None] = [None]
 
         for k in range(1, d + 1):
-            g = simplex_gram(self.edge_lengths_sq[c.edge_ids(k)], k)
+            g = simplex_gram(self.edge_lengths_sq[c.edge_ids(k).T], k)
             vol = g.volume
             lost = ~(vol >= np.finfo(np.float64).tiny) | np.isinf(vol)
             for bad, why in (
                 (g.degenerate, lambda i: "has non-positive volume "
-                 f"(vol^2 = {np.ldexp(g.p[i].prod() / math.factorial(k) ** 2, k * g.exp[i]):.3e})"),
+                 f"(vol^2 = {np.ldexp(g.p[:, i].prod() / math.factorial(k) ** 2, k * g.exp[i]):.3e})"),
                 (lost, lambda i: f"has a {k}-volume not representable in float64 "
                  f"at squared-length scale {np.ldexp(1.0, g.exp[i]):.3e}"),
             ):
@@ -232,7 +229,7 @@ class MetricComplex:
         X = np.zeros((s.dim + 1, s.dim))
         if s.dim:
             g, i = self._gram[s.dim], s.index
-            X[1:] = g.L[i] * np.sqrt(np.ldexp(g.p[i], g.exp[i]))
+            X[1:] = g.L[..., i] * np.sqrt(np.ldexp(g.p[:, i], g.exp[i]))
         return X
 
     def simplex_volume(self, s: SimplexId) -> float:
@@ -426,7 +423,8 @@ class MetricComplex:
         M = P G^-1 P^T holds the inner products of the barycentric
         gradients, which are inward facet normals.  It is formed from the
         cell's factor G / s = L diag(p) L^T as Q^T diag(p)^-1 Q with
-        L Q = P^T, which is s M; the scale cancels in
+        L Q = P^T, Q in (d, d+1, n) planes and each M_ij one (n,) row
+        summed left to right; that is s M, and the scale cancels in
 
             cos theta_ij = -M_ij / (sqrt(M_ii) sqrt(M_jj)).
         """
@@ -434,13 +432,15 @@ class MetricComplex:
         if d < 2:
             raise ValueError("dihedral angles need dimension >= 2")
         g = self._gram[d]
-        Pt = np.hstack([-np.ones((d, 1)), np.eye(d)])
-        Q = _solve_lower(g.L, np.broadcast_to(Pt, (g.p.shape[0], d, d + 1)))
-        M = np.einsum("nia,ni,nib->nab", Q, 1.0 / g.p, Q)
-        i, j = np.array(list(itertools.combinations(range(d + 1), 2))).T
-        root = np.sqrt(np.diagonal(M, axis1=1, axis2=2))
-        cos = -M[:, i, j] / (root[:, i] * root[:, j])
-        angles = np.arccos(np.clip(cos, -1.0, 1.0))
+        Q = np.zeros((d, d + 1, g.p.shape[1]))
+        Q[:, 0], Q[range(d), range(1, d + 1)] = -1.0, 1.0  # P^T
+        for i in range(1, d):  # Q_i = P^T_i - sum_j L_ij Q_j over j < i
+            Q[i] -= _sum(g.L[i, :i, None] * Q[:i])
+        QR = Q * (1.0 / g.p)[:, None]
+        root = np.sqrt(_sum(QR * Q))  # sqrt(M_ii)
+        pairs = itertools.combinations(range(d + 1), 2)
+        cos = -np.array([_sum(QR[:, i] * Q[:, j]) / (root[i] * root[j]) for i, j in pairs])
+        angles = np.arccos(np.clip(cos, -1.0, 1.0)).T.copy()
         angles.flags.writeable = False
         return angles
 

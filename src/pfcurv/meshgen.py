@@ -146,5 +146,5 @@ def _degenerate_edges(m: MetricComplex, l2: np.ndarray) -> np.ndarray:
     bad = l2 <= 0
     for k in range(2, c.dim + 1):
         eids = c.edge_ids(k)
-        bad[eids[simplex_gram(l2[eids], k).degenerate]] = True
+        bad[eids[simplex_gram(l2[eids.T], k).degenerate]] = True
     return bad

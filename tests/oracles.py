@@ -5,9 +5,12 @@ the reference for the batched dihedral table, :func:`boundary_matrix`,
 the dense signed incidence built from vertex tuples, the per-element
 chain-sum loops kept as the reference for the matrix-free elevation
 operators, :func:`looped_adjointness`, the one-sample-at-a-time
-reference for the batched adjointness check, and :func:`flat_grid_loop`
+reference for the batched adjointness check, :func:`flat_grid_loop`
 and :func:`icosphere_loop`, the loop generators kept as the reference
-for the array-arithmetic ones, everything here works on an explicit
+for the array-arithmetic ones, :func:`simplex_gram_stacked` and
+:func:`dihedral_angles_stacked`, the (n, k, k) metric kernel kept as the
+reference for the component-plane one, and :func:`mp_metric`, the
+40-digit Cayley-Menger reference, everything here works on an explicit
 vertex embedding and never touches the length-only pipeline: volumes
 come from Gram determinants of edge vectors, circumcenters from the
 normal equations in the affine hull, and dual volumes from signed
@@ -478,3 +481,133 @@ def looped_adjointness(m, *, seed: int = 0, samples: int = 20) -> float:
                 scale = max(abs(lhs), abs(rhs), 1.0)
                 worst = max(worst, abs(lhs - rhs) / scale)
     return worst
+
+
+# -- the (n, k, k) metric kernel -------------------------------------------
+#
+# ``geometry.simplex_gram`` and ``MetricComplex.dihedral_angles`` with every
+# per-simplex matrix stacked along a leading simplex axis.  Sums of products
+# go through ``einsum`` and ``sum``, whose order of three or more terms is
+# numpy's own.
+
+
+def _solve_lower(L, B, transpose=False):
+    """X with L X = B (L^T X = B with ``transpose``) for unit lower triangular L (n, k, k)."""
+    if transpose:  # L^T is L with its index order reversed
+        return _solve_lower(L.swapaxes(1, 2)[:, ::-1, ::-1], B[:, ::-1])[:, ::-1]
+    X = np.array(B, dtype=np.float64)
+    for i in range(1, L.shape[1]):
+        X[:, i] -= np.einsum("nj,nj...->n...", L[:, i, :i], X[:, :i])
+    return X
+
+
+def simplex_gram_stacked(pair_l2, k):
+    """``simplex_gram`` on squared lengths (n, C(k+1, 2)); returns L (n, k, k),
+    p (n, k), exp, degenerate, volume, barycentric (n, k+1) and the squared
+    circumradius."""
+    from pfcurv.geometry import DEGENERACY_TOL
+
+    n = pair_l2.shape[0]
+    lmax = pair_l2.max(axis=1)
+    exp = np.frexp(lmax)[1] - 1
+    q = np.ldexp(pair_l2, -exp[:, None])
+    D2 = np.zeros((n, k + 1, k + 1))
+    for col, (a, b) in enumerate(itertools.combinations(range(k + 1), 2)):
+        D2[:, a, b] = D2[:, b, a] = q[:, col]
+    G = (D2[:, :1, 1:] + D2[:, 1:, :1] - D2[:, 1:, 1:]) / 2.0
+    L = np.zeros((n, k, k))
+    p = np.empty((n, k))
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            v = G[:, j:, j] - np.einsum("nim,nm->ni", L[:, j:, :j], L[:, j, :j] * p[:, :j])
+            p[:, j] = v[:, 0]
+            L[:, j:, j] = v / v[:, :1]
+        vol_sq = p.prod(axis=1) / math.factorial(k) ** 2
+        degenerate = ~(vol_sq > DEGENERACY_TOL * np.ldexp(lmax, -exp) ** k)
+        ke = k * exp
+        volume = np.ldexp(np.sqrt(vol_sq * (1 + (ke & 1))), ke >> 1)
+        y = _solve_lower(L, q[:, :k] / 2.0)
+        lam = _solve_lower(L, y / p, transpose=True)
+        r2 = np.ldexp((y * y / p).sum(axis=1), exp)
+    bary = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+    return L, p, exp, degenerate, volume, bary, r2
+
+
+def dihedral_angles_stacked(L, p):
+    """The dihedral angle table of cells with stacked factors L (n, d, d)
+    and pivots p (n, d), columns in ``combinations(range(d + 1), 2)`` order."""
+    n, d = p.shape
+    Pt = np.hstack([-np.ones((d, 1)), np.eye(d)])
+    Q = _solve_lower(L, np.broadcast_to(Pt, (n, d, d + 1)))
+    M = np.einsum("nia,ni,nib->nab", Q, 1.0 / p, Q)
+    i, j = np.array(list(itertools.combinations(range(d + 1), 2))).T
+    root = np.sqrt(np.diagonal(M, axis1=1, axis2=2))
+    cos = -M[:, i, j] / (root[:, i] * root[:, j])
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+# -- the 40-digit metric ---------------------------------------------------
+
+
+def _mp_solve(A, rhs):
+    """X with A X = rhs and det A, for square lists of lists of mpf, by
+    Gauss-Jordan elimination with partial pivoting."""
+    n = len(A)
+    M = [list(row) + list(r) for row, r in zip(A, rhs)]
+    det = 1
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            f = M[r][col]
+            if r != col and f:
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [row[n:] for row in M], det
+
+
+def mp_metric(m, dps: int = 40) -> dict:
+    """Volumes, circumcenter barycentrics and squared circumradii of every
+    k-simplex (k >= 1) and the dihedral angles of every top cell, computed
+    in ``dps``-digit arithmetic from bordered Cayley-Menger matrices and
+    rounded to float64.
+
+    With D the squared lengths of a k-simplex and C = [[0, 1^T], [1, D]],
+    vol^2 = (-1)^(k+1) det C / (2^k k!^2), and C^-1 e_0 = (-2 R^2, lambda)
+    holds the circumcenter's barycentrics.  The block of C^-1 without its
+    border is -1/2 the matrix of inner products of the barycentric
+    gradients, so its normalized off-diagonal entries are the cosines of
+    the dihedral angles.  Keys: ``volume``, ``barycentric`` and
+    ``circumradius_sq`` (lists indexed by k, entry 0 unused) and
+    ``dihedral`` laid out like ``MetricComplex.dihedral_angles``.
+    """
+    import mpmath
+
+    c, d = m.complex, m.dim
+    out = {"volume": [None], "barycentric": [None], "circumradius_sq": [None]}
+    with mpmath.workdps(dps):
+        l2 = [mpmath.mpf(float(x)) for x in m.edge_lengths_sq]
+        for k in range(1, d + 1):
+            pairs = list(itertools.combinations(range(k + 1), 2))
+            vol, bary, r2, ang = [], [], [], []
+            for eids in c.edge_ids(k):
+                C = [[mpmath.mpf(int(i != j)) for j in range(k + 2)] for i in range(k + 2)]
+                for (a, b), e in zip(pairs, eids):
+                    C[a + 1][b + 1] = C[b + 1][a + 1] = l2[e]
+                # the whole inverse for the angles of a top cell, else C^-1 e_0
+                inv, det = _mp_solve(C, np.eye(k + 2, k + 2 if k == d else 1, dtype=int).tolist())
+                vol.append(float(mpmath.sqrt((-1) ** (k + 1) * det / (2**k * math.factorial(k) ** 2))))
+                bary.append([float(inv[i][0]) for i in range(1, k + 2)])
+                r2.append(float(-inv[0][0] / 2))
+                if k == d:
+                    ang.append([float(mpmath.acos(inv[a][b] / mpmath.sqrt(inv[a][a] * inv[b][b])))
+                                for a, b in ((a + 1, b + 1) for a, b in pairs)])
+            out["volume"].append(np.array(vol))
+            out["barycentric"].append(np.array(bary))
+            out["circumradius_sq"].append(np.array(r2))
+    out["dihedral"] = np.array(ang)
+    return out

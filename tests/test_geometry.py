@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -15,8 +16,10 @@ from pfcurv import (
     gen_flat_grid,
     perturb_lengths,
     read_mesh,
+    target_columns,
     write_mesh,
 )
+from pfcurv import geometry
 
 SQRT3 = math.sqrt(3.0)
 
@@ -395,3 +398,173 @@ def test_scaling_of_measures(ico):
         assert np.allclose(
             m2.dual_volumes[k], s ** (2 - k) * ico.dual_volumes[k], rtol=1e-13
         )
+
+
+# -- the component-plane kernel against the (n, k, k) one ---------------------
+#
+# ``oracles.simplex_gram_stacked`` and ``oracles.dihedral_angles_stacked``
+# are the kernel and angle formula the plane layout replaced.  Sums of two
+# or fewer terms are the same operations in the same order, so k <= 3
+# agrees bit for bit; from k = 4 on, sums of three or more terms may round
+# differently, within a few units of roundoff times the cell's condition.
+
+EPS = np.finfo(np.float64).eps
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of zero; nan matches nan."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a) if a.dtype.kind == "f" else np.zeros(a.shape, bool)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) & ~nan, np.signbit(b) & ~nan))
+
+
+def random_simplexes(k: int, n: int, seed: int, noise: float) -> np.ndarray:
+    """Squared lengths (n, C(k+1, 2)) of the unit right-corner k-simplex
+    with every vertex moved by Gaussian noise."""
+    rng = np.random.default_rng([k, seed])
+    X = np.vstack([np.zeros(k), np.eye(k)]) + noise * rng.standard_normal((n, k + 1, k))
+    i, j = np.array(list(itertools.combinations(range(k + 1), 2))).T
+    return ((X[:, i] - X[:, j]) ** 2).sum(axis=-1)
+
+
+def both_kernels(pair_l2: np.ndarray, k: int):
+    """The plane kernel's result and the stacked kernel's on (n, C(k+1, 2))
+    squared lengths, fields named as in ``SimplexGram``, all stacked."""
+    g = geometry.simplex_gram(pair_l2.T, k)
+    new = g._replace(L=np.moveaxis(g.L, 2, 0), p=g.p.T)
+    return new, geometry.SimplexGram(*oracles.simplex_gram_stacked(pair_l2, k))
+
+
+FIELDS = ("p", "degenerate", "volume", "barycentric", "circumradius_sq")
+
+
+@pytest.fixture(scope="module")
+def kernel_meshes(ico, icospheres, tet_boundary, cell5, simplex5_boundary, grid2, grid3,
+                  perturbed_grid, perturbed_grid4):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        delaunay = {"delaunay 2d": oracles.random_delaunay(2, 40, 0),
+                    "delaunay 3d": oracles.random_delaunay(3, 24, 1)}
+    return {"icosahedron": ico, "icosphere 3": icospheres[3], "tet boundary": tet_boundary,
+            "5-cell": cell5, "5-simplex boundary": simplex5_boundary, "grid2": grid2,
+            "grid3": grid3, "perturbed grid3": perturbed_grid, "perturbed grid4": perturbed_grid4,
+            **delaunay}
+
+
+def test_plane_kernel_bit_identical_up_to_k3(kernel_meshes):
+    cases = [(f"{name} k={k}", m.edge_lengths_sq[m.complex.edge_ids(k)], k)
+             for name, m in kernel_meshes.items() for k in range(1, min(m.dim, 3) + 1)]
+    for k in (1, 2, 3):
+        for noise in (0.05, 0.3, 1.0):  # from well shaped to degenerate
+            cases.append((f"random k={k} noise {noise}", random_simplexes(k, 2000, 0, noise), k))
+        # independent lengths, many breaking the triangle inequality
+        lengths = np.random.default_rng(k).uniform(0.1, 2, (2000, k * (k + 1) // 2))
+        cases.append((f"uniform k={k}", lengths, k))
+    for label, pair_l2, k in cases:
+        new, old = both_kernels(pair_l2, k)
+        for field in FIELDS:
+            assert same_bits(getattr(new, field), getattr(old, field)), f"{label}: {field}"
+
+
+def test_plane_angles_bit_identical_up_to_d3(kernel_meshes):
+    for name, m in kernel_meshes.items():
+        if m.dim > 3:
+            continue
+        _, old = both_kernels(m.edge_lengths_sq[m.complex.edge_ids(m.dim)], m.dim)
+        assert same_bits(m.dihedral_angles, oracles.dihedral_angles_stacked(old.L, old.p)), name
+
+
+def test_plane_kernel_within_roundoff_for_k4_k5(perturbed_grid4, simplex5_boundary):
+    # tolerance 4 EPS kappa, kappa = (largest squared length) / (smallest
+    # pivot) in units of s: the cancellation a pivot's sum can suffer
+    cases = [("perturbed grid4", perturbed_grid4, 4), ("5-simplex boundary", simplex5_boundary, 4)]
+    cases = [(name, m.edge_lengths_sq[m.complex.edge_ids(k)], k, m) for name, m, k in cases]
+    cases += [(f"random k={k}", random_simplexes(k, 2000, 1, 0.05), k, None) for k in (4, 5)]
+    for label, pair_l2, k, m in cases:
+        new, old = both_kernels(pair_l2, k)
+        assert not old.degenerate.any()
+        kappa = pair_l2.max(axis=1) / np.ldexp(old.p.min(axis=1), old.exp)
+        tol = 4 * EPS * kappa
+        rel = {
+            "p": np.abs(new.p - old.p).max(axis=1) / np.abs(old.p).max(axis=1),
+            "volume": np.abs(new.volume - old.volume) / old.volume,
+            "circumradius_sq": np.abs(new.circumradius_sq - old.circumradius_sq) / old.circumradius_sq,
+            "barycentric": np.abs(new.barycentric - old.barycentric).max(axis=1)
+            / np.maximum(1.0, np.abs(old.barycentric).max(axis=1)),
+        }
+        if m is not None:
+            want = oracles.dihedral_angles_stacked(old.L, old.p)
+            rel["dihedral"] = np.abs(m.dihedral_angles - want).max(axis=1) / want.max(axis=1)
+        for field, err in rel.items():
+            assert (err <= tol).all(), f"{label}: {field} off by {np.max(err / tol):.2f} x tolerance"
+        assert same_bits(new.degenerate, old.degenerate), label
+
+
+def degenerate_cases(k: int) -> dict[str, np.ndarray]:
+    """Squared lengths (n, C(k+1, 2)) of k-simplexes on both sides of the
+    degeneracy test: vertices on a line, and the last vertex at heights
+    1e-12..1 above the facet of the others (a needle where it is small)."""
+    rng = np.random.default_rng([7, k])
+    i, j = np.array(list(itertools.combinations(range(k + 1), 2))).T
+    line = rng.uniform(-1, 1, (500, k + 1, 1))
+    X = np.vstack([np.zeros(k), np.eye(k)]) + 0.1 * rng.standard_normal((500, k + 1, k))
+    X[:, -1, -1] = np.logspace(-12, 0, 500) * rng.choice([-1, 1], 500)
+    X[:, :-1, -1] = 0.0
+    return {"collinear": ((line[:, i] - line[:, j]) ** 2).sum(axis=-1),
+            "needle": ((X[:, i] - X[:, j]) ** 2).sum(axis=-1)}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_plane_kernel_degenerate_flags_match():
+    for k in (2, 3, 4, 5):
+        for name, pair_l2 in degenerate_cases(k).items():
+            for scale in (1.0, 1e120, 1e-120):
+                new, old = both_kernels(pair_l2 * scale, k)
+                assert same_bits(new.degenerate, old.degenerate), f"{name} k={k} scale {scale}"
+                if name == "needle":  # both sides of the threshold are exercised
+                    assert 0 < new.degenerate.sum() < len(pair_l2), f"k={k} scale {scale}"
+                else:
+                    assert new.degenerate.all()
+
+
+def zero_and_nan_patterns(m) -> dict:
+    """Exact-zero barycentrics, zero and negative dual-volume counts and the
+    nan cells of every report column of every target."""
+    out = {f"zero bary k={k}": m.barycentric[k] == 0 for k in range(1, m.dim + 1)}
+    for k, dv in enumerate(m.dual_volumes):
+        out[f"dual k={k}"] = (int((dv == 0).sum()), int((dv < 0).sum()))
+    targets = ["hinges", "vertices", "dual-vertices"] + (["edges", "dual-edges"] if m.dim > 2 else [])
+    for at in targets:
+        for name, col in target_columns(m, at)[1].items():
+            for twin, values in (("", col.values), (" normalized", col.normalized)):
+                if values is not None:
+                    out[f"nan {at} {name}{twin}"] = np.isnan(np.asarray(values, dtype=float))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_flat_grid_zero_and_nan_patterns_match_stacked(d, monkeypatch):
+    # right-angled Freudenthal cells: circumcenters on facets give exact
+    # zero barycentrics and zero dual volumes, and these give nan ratios
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonWellCenteredWarning)
+        m = gen_flat_grid(d, 2)
+        new = zero_and_nan_patterns(m)
+
+        def gram(pair_l2, k):
+            L, p, *rest = oracles.simplex_gram_stacked(np.ascontiguousarray(pair_l2.T), k)
+            return geometry.SimplexGram(np.moveaxis(L, 0, 2), p.T, *rest)
+
+        def angles(mc):
+            g = mc._gram[mc.dim]
+            return oracles.dihedral_angles_stacked(np.moveaxis(g.L, 2, 0), g.p.T)
+
+        monkeypatch.setattr(geometry, "simplex_gram", gram)
+        monkeypatch.setattr(MetricComplex, "dihedral_angles", property(angles))
+        old = zero_and_nan_patterns(MetricComplex(m.complex, m.edge_lengths_sq))
+    assert new.keys() == old.keys()
+    for key in new:
+        assert np.array_equal(new[key], old[key]), key
+    assert any(new[f"zero bary k={k}"].any() for k in range(2, d + 1))
+    assert any(v.any() for key, v in new.items() if key.startswith("nan "))
